@@ -135,6 +135,8 @@ use crate::microop::{self, CompileStats, CompiledOps, ExecScratch};
 use crate::noise::NoiseModel;
 use crate::op::Op;
 use crate::state::BitState;
+use crate::tap::{InitTap, ResetTap, TappedOps};
+use crate::wire::Wire;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rft_obs::{Collector, Gauge, Hist, Metric};
@@ -177,7 +179,7 @@ const MIN_FAILURES_FOR_STOP: u64 = 16;
 const ADAPTIVE_ROUND_WORDS: u64 = 32;
 
 /// Per-word seed stride (golden-ratio odd constant, as in SplitMix64).
-const WORD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const WORD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Marker for operations that never fault.
 pub(crate) const NEVER: usize = usize::MAX;
@@ -778,6 +780,9 @@ pub struct Engine {
     /// first word-loop use — [`Engine::compile`] itself stays a single
     /// cheap pass.
     compiled: OnceLock<CompiledOps>,
+    /// The program split before every INIT, for the reset tap
+    /// ([`Engine::tally_resets`]); built on first use.
+    tapped: OnceLock<TappedOps>,
     /// Memoized stratified-estimator layouts, keyed by
     /// `(min_faults, strata_cap)` (derived from the fault-count PMF once
     /// instead of on every estimate call).
@@ -794,11 +799,16 @@ impl Clone for Engine {
         if let Some(c) = self.compiled.get() {
             let _ = compiled.set(c.clone());
         }
+        let tapped = OnceLock::new();
+        if let Some(t) = self.tapped.get() {
+            let _ = tapped.set(t.clone());
+        }
         Engine {
             circuit: self.circuit.clone(),
             table: self.table.clone(),
             dist,
             compiled,
+            tapped,
             plans: Mutex::new(self.plans.lock().map(|g| g.clone()).unwrap_or_default()),
         }
     }
@@ -816,6 +826,7 @@ impl Engine {
             table: FaultTable::compile(circuit, noise),
             dist: OnceLock::new(),
             compiled: OnceLock::new(),
+            tapped: OnceLock::new(),
             plans: Mutex::new(Vec::new()),
         }
     }
@@ -826,18 +837,33 @@ impl Engine {
             .get_or_init(|| microop::compile(&self.circuit, &self.table))
     }
 
-    /// [`Engine::compiled`] with the lazy IR lowering instrumented: when
-    /// this call performs the lowering, the time lands in
+    /// The lazily compiled program split before every INIT (see
+    /// [`crate::tap`]).
+    fn tapped(&self) -> &TappedOps {
+        self.tapped
+            .get_or_init(|| TappedOps::compile(&self.circuit, &self.table))
+    }
+
+    /// The program a word loop with tap `K` runs.
+    fn program<K: InitTap>(&self) -> &CompiledOps {
+        if K::SPLIT_INITS {
+            &self.tapped().ops
+        } else {
+            self.compiled()
+        }
+    }
+
+    /// Forces the lazy IR lowering `lower` with its cost instrumented:
+    /// when this call performs the lowering, the time lands in
     /// `engine.lower_ns` under an `engine.lower` span. Subsequent calls
     /// hit the memoized program and record nothing.
-    fn compiled_obs(&self, obs: &Collector) -> &CompiledOps {
-        if let Some(compiled) = self.compiled.get() {
-            return compiled;
+    fn lower_obs<T>(cell: &OnceLock<T>, obs: &Collector, lower: impl FnOnce() -> T) {
+        if cell.get().is_some() {
+            return;
         }
         let _span = obs.span_metric("engine.lower", Metric::LowerNanos);
-        let compiled = self.compiled();
+        cell.get_or_init(lower);
         obs.incr(Metric::IrLowerings);
-        compiled
     }
 
     /// Statistics of the micro-op compile pass — ops before/after fusion
@@ -867,6 +893,9 @@ impl Engine {
         }
         if let Some(ops) = self.compiled.get() {
             bytes += ops.approx_bytes();
+        }
+        if let Some(tapped) = self.tapped.get() {
+            bytes += tapped.approx_bytes();
         }
         bytes
     }
@@ -1034,7 +1063,8 @@ impl Engine {
             scratch: &mut ExecScratch,
         ) -> BatchExecReport {
             let rngs: &mut [SmallRng; W] = rngs.try_into().expect("len checked");
-            let out = microop::run_sampled_wide::<W>(compiled, table, batch, rngs, scratch);
+            let out =
+                microop::run_sampled_wide::<W, ()>(compiled, table, batch, rngs, scratch, &mut ());
             BatchExecReport {
                 fault_events: out.fault_events,
                 faulted_lanes: out.faulted.to_vec(),
@@ -1191,7 +1221,9 @@ impl Engine {
         if matches!(path, ExecPath::Batch { .. }) {
             // Force the lazy IR lowering here so its cost is attributed
             // to `engine.lower` instead of bleeding into the word loops.
-            self.compiled_obs(obs);
+            Engine::lower_obs(&self.compiled, obs, || {
+                microop::compile(&self.circuit, &self.table)
+            });
         }
         let resolved = match opts.estimator {
             Estimator::Auto => {
@@ -1225,17 +1257,74 @@ impl Engine {
                 );
                 self.estimate_stratified(path, trial, opts, min_faults, strata_cap, obs)
             }
-            _ => self.estimate_plain(path, trial, opts, obs),
+            _ => self.estimate_plain(path, trial, opts, obs, &mut ()),
         }
     }
 
-    /// The classic estimator: every requested trial is executed.
-    fn estimate_plain<T: WordTrial + ?Sized>(
+    /// Tallies the pre-reset patterns of every INIT over `opts.trials`
+    /// runs from the fixed state `input` — the §4 reset-entropy
+    /// measurement. Runs the compiled word loop, 64 trials per word,
+    /// with a tap that reads each INIT's wires just before it executes
+    /// (on a second lowering of the circuit, split before every INIT).
+    /// Each word is seeded from `(opts.seed, word index)` as in
+    /// [`Engine::estimate`], so the counts are identical at any thread
+    /// count and width. Only `trials`, `seed`, `threads` and `width` of
+    /// `opts` are read.
+    ///
+    /// Instrumented like an estimate: an `engine.estimate` span with
+    /// per-worker `engine.words` spans, and the executed words and
+    /// trials in `obs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts.trials == 0` or the input width mismatches the
+    /// circuit.
+    pub fn tally_resets(
+        &self,
+        input: &BitState,
+        opts: &McOptions,
+        obs: &Collector,
+    ) -> Vec<ResetSite> {
+        assert!(opts.trials > 0, "need at least one trial");
+        assert_eq!(
+            input.len(),
+            self.circuit.n_wires(),
+            "input width must match circuit width"
+        );
+        let _span = obs.span_metric("engine.estimate", Metric::EstimateNanos);
+        obs.incr(Metric::EstimateCalls);
+        Engine::lower_obs(&self.tapped, obs, || {
+            TappedOps::compile(&self.circuit, &self.table)
+        });
+        let points = &self.tapped().points;
+        let mut tap = ResetTap::new(points);
+        let path = ExecPath::Batch {
+            width: opts.width.resolve(BackendKind::Batch),
+        };
+        let opts = McOptions {
+            target_rel_error: None,
+            ..*opts
+        };
+        let _ = self.estimate_plain(path, &FixedInput(input), &opts, obs, &mut tap);
+        points
+            .iter()
+            .zip(tap.counts)
+            .map(|(p, counts)| ResetSite {
+                op_index: p.op_index as usize,
+                counts,
+            })
+            .collect()
+    }
+
+    /// The classic estimator: every requested trial is executed, with
+    /// `tap` watching the word loop.
+    fn estimate_plain<T: WordTrial + ?Sized, K: InitTap>(
         &self,
         backend: ExecPath,
         trial: &T,
         opts: &McOptions,
         obs: &Collector,
+        tap: &mut K,
     ) -> McOutcome {
         obs.incr(Metric::PlainRuns);
         let threads = opts.threads.max(1);
@@ -1251,7 +1340,8 @@ impl Engine {
         let mut early_stopped = false;
         while done < total_words {
             let n = round_words.min(total_words - done);
-            let (f, e, x) = self.run_word_span(backend, trial, opts, done, done + n, threads, obs);
+            let (f, e, x) =
+                self.run_word_span(backend, trial, opts, done, done + n, threads, obs, tap);
             failures += f;
             executed += e;
             extras.merge(x);
@@ -1285,9 +1375,10 @@ impl Engine {
     /// returning `(failures, executed_trials, extras)`. Each worker opens
     /// an `engine.words` span on its own thread so the trace attributes
     /// word-loop time to the thread that spent it; the split itself never
-    /// consults the collector.
+    /// consults the collector. Each worker taps into its own fork of
+    /// `tap`, folded back in worker order.
     #[allow(clippy::too_many_arguments)]
-    fn run_word_span<T: WordTrial + ?Sized>(
+    fn run_word_span<T: WordTrial + ?Sized, K: InitTap>(
         &self,
         backend: ExecPath,
         trial: &T,
@@ -1296,56 +1387,71 @@ impl Engine {
         end: u64,
         threads: usize,
         obs: &Collector,
+        tap: &mut K,
     ) -> (u64, u64, WordExtras) {
         let span = end - start;
         if threads <= 1 || span <= 1 {
             let _s = obs.span("engine.words");
-            return self.run_word_range(backend, trial, opts, start, end);
+            return self.run_word_range(backend, trial, opts, start, end, tap);
         }
         let threads = (threads as u64).min(span);
         let per = span / threads;
         let extra = span % threads;
-        std::thread::scope(|scope| {
+        let results: Vec<_> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             let mut first = start;
             for t in 0..threads {
                 let n = per + u64::from(t < extra);
                 let lo = first;
                 first += n;
+                let mut fork = tap.fork();
                 handles.push(scope.spawn(move || {
                     let _s = obs.span("engine.words");
-                    self.run_word_range(backend, trial, opts, lo, lo + n)
+                    let r = self.run_word_range(backend, trial, opts, lo, lo + n, &mut fork);
+                    (r, fork)
                 }));
             }
             handles
                 .into_iter()
-                .fold((0, 0, WordExtras::default()), |(f, e, mut x), h| {
-                    let (df, de, dx) = h.join().expect("trial thread panicked");
-                    x.merge(dx);
-                    (f + df, e + de, x)
-                })
-        })
+                .map(|h| h.join().expect("trial thread panicked"))
+                .collect()
+        });
+        let mut total = (0, 0, WordExtras::default());
+        for ((f, e, x), fork) in results {
+            total.0 += f;
+            total.1 += e;
+            total.2.merge(x);
+            tap.merge(fork);
+        }
+        total
     }
 
     /// Runs words `[start, end)` sequentially, dispatching to the legacy
-    /// scalar reference loop or the compiled wide word loop.
-    fn run_word_range<T: WordTrial + ?Sized>(
+    /// scalar reference loop or the compiled wide word loop (the only
+    /// loop that runs a tap).
+    fn run_word_range<T: WordTrial + ?Sized, K: InitTap>(
         &self,
         backend: ExecPath,
         trial: &T,
         opts: &McOptions,
         start: u64,
         end: u64,
+        tap: &mut K,
     ) -> (u64, u64, WordExtras) {
         match backend {
-            ExecPath::Scalar => self.run_word_range_scalar(trial, opts, start, end),
+            ExecPath::Scalar => {
+                debug_assert!(!K::SPLIT_INITS, "taps run on the compiled loop only");
+                self.run_word_range_scalar(trial, opts, start, end)
+            }
             ExecPath::Batch { width: 2 } => {
-                self.run_word_range_wide::<T, 2>(trial, opts, start, end)
+                self.run_word_range_wide::<T, K, 2>(trial, opts, start, end, tap)
             }
             ExecPath::Batch { width: 4 } => {
-                self.run_word_range_wide::<T, 4>(trial, opts, start, end)
+                self.run_word_range_wide::<T, K, 4>(trial, opts, start, end, tap)
             }
-            ExecPath::Batch { .. } => self.run_word_range_wide::<T, 1>(trial, opts, start, end),
+            ExecPath::Batch { .. } => {
+                self.run_word_range_wide::<T, K, 1>(trial, opts, start, end, tap)
+            }
         }
     }
 
@@ -1390,14 +1496,15 @@ impl Engine {
     /// the fused micro-op program, each word on its own seed-derived RNG
     /// stream (so results are bit-identical to the `W = 1` loop and to
     /// the scalar reference, at any width and thread count).
-    fn run_word_range_wide<T: WordTrial + ?Sized, const W: usize>(
+    fn run_word_range_wide<T: WordTrial + ?Sized, K: InitTap, const W: usize>(
         &self,
         trial: &T,
         opts: &McOptions,
         start: u64,
         end: u64,
+        tap: &mut K,
     ) -> (u64, u64, WordExtras) {
-        let compiled = self.compiled();
+        let compiled = self.program::<K>();
         let n_wires = self.circuit.n_wires();
         let mut wide = BatchState::zeros(n_wires, W);
         let mut col = BatchState::zeros(n_wires, 1);
@@ -1412,7 +1519,7 @@ impl Engine {
             if (end - word) < W as u64 {
                 // Remainder words run at width 1 — bit-identical, since
                 // every word owns its RNG stream regardless of grouping.
-                let (f, e, x) = self.run_word_range_wide::<T, 1>(trial, opts, word, end);
+                let (f, e, x) = self.run_word_range_wide::<T, K, 1>(trial, opts, word, end, tap);
                 extras.merge(x);
                 return (failures + f, executed + e, extras);
             }
@@ -1426,18 +1533,22 @@ impl Engine {
                 trial.prepare_into(&mut col, &mut rngs[k], &mut inputs[k]);
                 wide.load_column(k, &col);
             }
-            let outcome = microop::run_sampled_wide::<W>(
+            let valid: [u64; W] =
+                std::array::from_fn(|k| valid_lanes(opts.trials, word + k as u64));
+            tap.start(&valid);
+            let outcome = microop::run_sampled_wide::<W, K>(
                 compiled,
                 &self.table,
                 &mut wide,
                 &mut rngs,
                 &mut scratch,
+                tap,
             );
             extras.fault_events += outcome.fault_events;
             extras.fused_segments += outcome.fused_segments;
             extras.replayed_segments += outcome.replayed_segments;
             for (k, word_inputs) in inputs.iter().enumerate() {
-                let valid = valid_lanes(opts.trials, word + k as u64);
+                let valid = valid[k];
                 extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
                 let candidates = if judge_faulted_only {
                     outcome.faulted[k] & valid
@@ -2884,6 +2995,16 @@ impl McOutcome {
     }
 }
 
+/// Pre-reset pattern counts of one INIT, from [`Engine::tally_resets`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResetSite {
+    /// Index of the INIT in the circuit's op stream.
+    pub op_index: usize,
+    /// `counts[p]` = trials whose reset wires held pattern `p` (bit `j` =
+    /// wire `j` of the INIT) just before the reset; sums to the trials.
+    pub counts: [u64; 8],
+}
+
 // ---------------------------------------------------------------------------
 // Word trials
 // ---------------------------------------------------------------------------
@@ -2946,6 +3067,34 @@ pub trait WordTrial: Sync {
     /// each outer level any single corrupted block).
     fn min_failing_faults(&self) -> u32 {
         u32::from(!self.fault_free_can_fail())
+    }
+}
+
+/// Every lane starts from one fixed state and nothing is judged: the word
+/// loop of [`Engine::tally_resets`], whose reset tap is the only reader.
+struct FixedInput<'a>(&'a BitState);
+
+impl WordTrial for FixedInput<'_> {
+    fn n_wires(&self) -> usize {
+        self.0.len()
+    }
+
+    fn prepare(&self, batch: &mut BatchState, _rng: &mut dyn RngCore) -> Vec<u64> {
+        for i in 0..self.0.len() {
+            let wire = Wire::new(i as u32);
+            if self.0.get(wire) {
+                batch.set_word(wire, 0, u64::MAX);
+            }
+        }
+        Vec::new()
+    }
+
+    fn judge(&self, _batch: &BatchState, _inputs: &[u64]) -> u64 {
+        0
+    }
+
+    fn fault_free_can_fail(&self) -> bool {
+        false
     }
 }
 

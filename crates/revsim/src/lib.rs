@@ -73,6 +73,7 @@ pub mod noise;
 pub mod op;
 pub mod permutation;
 pub mod state;
+mod tap;
 pub mod wire;
 
 pub use error::{Error, Result};
@@ -88,8 +89,8 @@ pub mod prelude {
     pub use crate::diagram::render;
     pub use crate::engine::{
         Backend, BackendKind, BatchBackend, Engine, Estimator, McOptions, McOutcome,
-        PlannedFaultBackend, ScalarBackend, Simulation, StratumOutcome, WordTrial, WordWidth,
-        DEFAULT_BATCH_THRESHOLD, DEFAULT_STRATA_CAP, STRATIFIED_ROUTING_THRESHOLD,
+        PlannedFaultBackend, ResetSite, ScalarBackend, Simulation, StratumOutcome, WordTrial,
+        WordWidth, DEFAULT_BATCH_THRESHOLD, DEFAULT_STRATA_CAP, STRATIFIED_ROUTING_THRESHOLD,
     };
     pub use crate::exec::{run_ideal, run_noisy_geometric, ExecObserver, ExecReport};
     pub use crate::fault::{double_fault_plans, single_fault_plans, FaultPlan, PlannedFault};

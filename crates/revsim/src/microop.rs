@@ -81,6 +81,7 @@ use crate::circuit::Circuit;
 use crate::engine::{fill_fault_planes, FaultTable, NEVER};
 use crate::gate::Gate;
 use crate::op::Op;
+use crate::tap::InitTap;
 use crate::wire::Wire;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -293,6 +294,14 @@ fn is_always_affine(op: &Op) -> bool {
 
 /// Lowers the flattened op stream into the micro-op program.
 pub(crate) fn compile(circuit: &Circuit, table: &FaultTable) -> CompiledOps {
+    lower(circuit, table, false)
+}
+
+/// Lowers the op stream, with `split_inits` additionally ending every
+/// fused segment before each INIT: every INIT then starts a segment or is
+/// a native op, so its wires hold the exact pre-reset planes when that
+/// micro-op begins (the reset-entropy tap's program, see [`crate::tap`]).
+pub(crate) fn lower(circuit: &Circuit, table: &FaultTable, split_inits: bool) -> CompiledOps {
     let ops = circuit.ops();
     let mut stats = CompileStats {
         ops: ops.len(),
@@ -303,7 +312,15 @@ pub(crate) fn compile(circuit: &Circuit, table: &FaultTable) -> CompiledOps {
     let mut pos_of = vec![u8::MAX; circuit.n_wires()];
     let mut i = 0usize;
     while i < ops.len() {
-        match scan_segment(ops, table, i, &mut pos_of) {
+        let limit = if split_inits {
+            ops[i + 1..]
+                .iter()
+                .position(|op| matches!(op, Op::Init(_)))
+                .map_or(ops.len(), |k| i + 1 + k)
+        } else {
+            ops.len()
+        };
+        match scan_segment(ops, table, i, limit, &mut pos_of) {
             Some((seg, end, specialized)) => {
                 stats.record_segment(end - i, specialized);
                 micro.push(MicroOp::Affine(segments.len() as u32));
@@ -535,9 +552,10 @@ impl Scan {
     }
 }
 
-/// Scans for a fused segment starting at `start`. Returns the segment,
-/// its end (exclusive) and the number of specialized ops, or `None` when
-/// no profitable segment of ≥ 2 ops starts here.
+/// Scans for a fused segment starting at `start` and ending at or before
+/// `limit`. Returns the segment, its end (exclusive) and the number of
+/// specialized ops, or `None` when no profitable segment of ≥ 2 ops
+/// starts here.
 ///
 /// `pos_of` is caller-owned scratch (`u8::MAX`-filled, restored before
 /// returning).
@@ -545,6 +563,7 @@ fn scan_segment(
     ops: &[Op],
     table: &FaultTable,
     start: usize,
+    limit: usize,
     pos_of: &mut [u8],
 ) -> Option<(AffineSegment, usize, usize)> {
     // The first op must be a fusion candidate at all.
@@ -553,7 +572,7 @@ fn scan_segment(
     {
         return None;
     }
-    let mut end = ops.len();
+    let mut end = limit;
     let mut allow_spec = true;
     // Every exit carries the scan's touched wires out so only those (at
     // most 64) scratch entries need restoring.
@@ -586,7 +605,7 @@ fn scan_segment(
                     pos_of[w as usize] = u8::MAX;
                 }
                 allow_spec = false;
-                end = ops.len();
+                end = limit;
                 continue;
             }
         }
@@ -856,12 +875,16 @@ pub(crate) struct WideOutcome<const W: usize> {
 /// nonzero. Word `w` therefore consumes `rngs[w]` in the identical
 /// order to a `W = 1` raw run of that word — estimates stay
 /// byte-identical for a fixed seed at any width.
-pub(crate) fn run_sampled_wide<const W: usize>(
+///
+/// `tap` sees the batch before every micro-op executes; the estimate
+/// path passes `()`, whose empty hook compiles away.
+pub(crate) fn run_sampled_wide<const W: usize, K: InitTap>(
     compiled: &CompiledOps,
     table: &FaultTable,
     batch: &mut BatchState,
     rngs: &mut [SmallRng; W],
     scratch: &mut ExecScratch,
+    tap: &mut K,
 ) -> WideOutcome<W> {
     let mut out = WideOutcome {
         faulted: [0u64; W],
@@ -869,7 +892,8 @@ pub(crate) fn run_sampled_wide<const W: usize>(
         fused_segments: 0,
         replayed_segments: 0,
     };
-    for mop in &compiled.micro {
+    for (mi, mop) in compiled.micro.iter().enumerate() {
+        tap.before::<W>(mi, batch);
         match mop {
             MicroOp::Native(nat) => {
                 if nat.sampler == NEVER_U32 {
