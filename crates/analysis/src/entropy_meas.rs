@@ -2,61 +2,27 @@
 //!
 //! The fault-tolerant scheme ejects entropy exactly where ancillas are
 //! reset: each `Init` erases whatever the previous cycle left on its wires.
-//! This module attaches an [`ExecObserver`] that histograms the 3-bit
-//! pre-reset patterns of every init site over many noisy runs; the summed
-//! per-site Shannon entropies estimate the bits dissipated per run
-//! (sub-additivity makes the sum an upper estimate of the joint entropy,
-//! the same relaxation the paper uses).
+//! [`reset_entropy`] histograms the 3-bit pre-reset pattern of every init
+//! site over many noisy runs; the summed per-site Shannon entropies
+//! estimate the bits dissipated per run (sub-additivity makes the sum an
+//! upper estimate of the joint entropy, the same relaxation the paper
+//! uses).
+//!
+//! The histograms come from the engine's compiled word loop
+//! ([`Engine::tally_resets`]): 64 trials per word, a reset tap reading
+//! each init's support planes with AND + popcount, per-word seeding, and
+//! the caller's collector — so a measurement is identical at any thread
+//! count and shows up in traces and resource sections like an estimate.
+//! The scalar one-trial-at-a-time loop survives only as [`oracle`], the
+//! reference the word path is tested and benchmarked against.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use rft_core::entropy::entropy_of_counts;
+use rft_obs::Collector;
 use rft_revsim::circuit::Circuit;
-use rft_revsim::engine::Engine;
-use rft_revsim::exec::ExecObserver;
+use rft_revsim::engine::{Engine, McOptions, ResetSite};
 use rft_revsim::noise::NoiseModel;
 use rft_revsim::state::BitState;
-use rft_revsim::wire::Wire;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-/// Observer recording pre-reset bit patterns per init site.
-#[derive(Debug, Default, Clone)]
-pub struct ResetEntropyObserver {
-    histograms: BTreeMap<usize, [u64; 8]>,
-}
-
-impl ResetEntropyObserver {
-    /// Creates an empty observer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct init sites observed.
-    pub fn sites(&self) -> usize {
-        self.histograms.len()
-    }
-
-    /// Total entropy in bits per run: sum over sites of the Shannon entropy
-    /// of the observed pattern distribution.
-    pub fn total_bits(&self) -> f64 {
-        self.histograms.values().map(|h| entropy_of_counts(h)).sum()
-    }
-
-    /// Per-site entropies, keyed by op index.
-    pub fn per_site_bits(&self) -> BTreeMap<usize, f64> {
-        self.histograms
-            .iter()
-            .map(|(&i, h)| (i, entropy_of_counts(h)))
-            .collect()
-    }
-}
-
-impl ExecObserver for ResetEntropyObserver {
-    fn before_init(&mut self, op_index: usize, _wires: &[Wire], values: u8) {
-        self.histograms.entry(op_index).or_insert([0; 8])[values as usize] += 1;
-    }
-}
 
 /// Result of an entropy measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,9 +35,22 @@ pub struct EntropyMeasurement {
     pub bits_per_run: f64,
 }
 
+impl EntropyMeasurement {
+    /// Sums the per-site Shannon entropies of `sites` over `trials` runs.
+    pub fn from_sites(trials: u64, sites: &[ResetSite]) -> Self {
+        EntropyMeasurement {
+            trials,
+            sites: sites.len(),
+            bits_per_run: sites.iter().map(|s| entropy_of_counts(&s.counts)).sum(),
+        }
+    }
+}
+
 /// Measures the reset entropy of `circuit` under `noise` over `trials`
 /// runs from the fixed initial state `input` (fixed input ensures all
 /// observed randomness comes from faults, matching §4's accounting).
+/// Compiles a one-off engine and runs single-threaded; see
+/// [`reset_entropy`] to reuse a cached engine.
 ///
 /// # Panics
 ///
@@ -86,20 +65,110 @@ pub fn measure_reset_entropy<N>(
 where
     N: NoiseModel,
 {
-    assert!(trials > 0, "need at least one trial");
-    let mut observer = ResetEntropyObserver::new();
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // Compile once, observe many: fault probabilities are derived a single
-    // time instead of once per trial.
-    let engine = Engine::compile(circuit, noise);
-    for _ in 0..trials {
-        let mut state = input.clone();
-        engine.run_scalar_observed(&mut state, &mut rng, &mut observer);
+    reset_entropy(
+        &Engine::compile(circuit, noise),
+        input,
+        &McOptions::new(trials).seed(seed),
+        &Collector::disabled(),
+    )
+}
+
+/// [`measure_reset_entropy`] on a compiled `engine`: `opts.trials` runs
+/// from `input`, seeded per word from `opts.seed`, on `opts.threads`
+/// workers, instrumented into `obs`.
+///
+/// # Panics
+///
+/// Panics if `opts.trials == 0` or the input width mismatches the
+/// circuit.
+pub fn reset_entropy(
+    engine: &Engine,
+    input: &BitState,
+    opts: &McOptions,
+    obs: &Collector,
+) -> EntropyMeasurement {
+    EntropyMeasurement::from_sites(opts.trials, &engine.tally_resets(input, opts, obs))
+}
+
+/// The scalar reference measurement: one trial at a time, one uniform
+/// draw per fallible op from a single sequential stream, the pre-reset
+/// pattern read off a [`BitState`] at every init. No production path
+/// runs it; it is the oracle the word path is checked against (same
+/// distribution, different RNG stream) and the baseline of the
+/// `entropy/reset_entropy_oracle_l2` bench.
+pub mod oracle {
+    use super::EntropyMeasurement;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use rft_revsim::circuit::Circuit;
+    use rft_revsim::engine::{Engine, ResetSite};
+    use rft_revsim::noise::NoiseModel;
+    use rft_revsim::op::Op;
+    use rft_revsim::state::BitState;
+
+    /// Per-init pre-reset pattern counts over `trials` scalar runs from
+    /// `input`, in op order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trials == 0` or the input width mismatches the circuit.
+    pub fn tally_resets<N: NoiseModel>(
+        circuit: &Circuit,
+        input: &BitState,
+        noise: &N,
+        trials: u64,
+        seed: u64,
+    ) -> Vec<ResetSite> {
+        assert!(trials > 0, "need at least one trial");
+        assert_eq!(
+            input.len(),
+            circuit.n_wires(),
+            "input width must match circuit width"
+        );
+        let engine = Engine::compile(circuit, noise);
+        let mut sites: Vec<ResetSite> = circuit
+            .ops()
+            .iter()
+            .enumerate()
+            .filter(|(_, op)| matches!(op, Op::Init(_)))
+            .map(|(op_index, _)| ResetSite {
+                op_index,
+                counts: [0; 8],
+            })
+            .collect();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..trials {
+            let mut state = input.clone();
+            let mut site = 0;
+            for (i, op) in circuit.ops().iter().enumerate() {
+                if let Op::Init(init) = op {
+                    sites[site].counts[state.read_pattern(init.wires()) as usize] += 1;
+                    site += 1;
+                }
+                let p = engine.fault_probability(i);
+                if p > 0.0 && rng.random::<f64>() < p {
+                    state.randomize(op.support().as_slice(), &mut rng);
+                } else {
+                    op.apply(&mut state);
+                }
+            }
+        }
+        sites
     }
-    EntropyMeasurement {
-        trials,
-        sites: observer.sites(),
-        bits_per_run: observer.total_bits(),
+
+    /// [`super::measure_reset_entropy`] on the scalar reference loop.
+    ///
+    /// # Panics
+    ///
+    /// As [`tally_resets`].
+    pub fn measure_reset_entropy<N: NoiseModel>(
+        circuit: &Circuit,
+        input: &BitState,
+        noise: &N,
+        trials: u64,
+        seed: u64,
+    ) -> EntropyMeasurement {
+        EntropyMeasurement::from_sites(trials, &tally_resets(circuit, input, noise, trials, seed))
     }
 }
 
@@ -166,5 +235,31 @@ mod tests {
             measure_reset_entropy(&c, &BitState::zeros(3), &UniformNoise::new(0.01), 20_000, 4);
         let hi = measure_reset_entropy(&c, &BitState::zeros(3), &UniformNoise::new(0.2), 20_000, 4);
         assert!(lo.bits_per_run < hi.bits_per_run);
+    }
+
+    #[test]
+    fn noiseless_histograms_sum_to_trials_with_partial_and_single_words() {
+        let mut c = Circuit::new(3);
+        c.not(w(0))
+            .init(&[w(1), w(2)])
+            .cnot(w(0), w(1))
+            .init(&[w(0), w(1), w(2)])
+            .init(&[w(2)]);
+        let engine = Engine::compile(&c, &NoNoise);
+        for trials in [200, 1] {
+            let opts = McOptions::new(trials).seed(5).threads(2);
+            let sites = engine.tally_resets(&BitState::zeros(3), &opts, &Collector::disabled());
+            assert_eq!(sites.len(), 3);
+            for site in &sites {
+                assert_eq!(
+                    site.counts.iter().sum::<u64>(),
+                    trials,
+                    "site {}",
+                    site.op_index
+                );
+            }
+            let m = reset_entropy(&engine, &BitState::zeros(3), &opts, &Collector::disabled());
+            assert_eq!(m.bits_per_run, 0.0);
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! reproduces the worked example `L ≤ log(1/g)/log(3E) + 1 ≈ 2.3`.
 
 use super::RunConfig;
-use crate::entropy_meas::measure_reset_entropy;
+use crate::entropy_meas::{measure_reset_entropy, reset_entropy};
 use crate::experiment::{Experiment, ExperimentContext};
 use crate::report::{sci, Check, Report, Series, Table};
 use rft_core::concat::FtBuilder;
@@ -91,7 +91,9 @@ pub fn run(cfg: &RunConfig) -> EntropyResult {
 
 /// [`run`] on an explicit context: the `(level, g)` measurement grid runs
 /// cross-point parallel (each point derives its seed from `(g, level)`,
-/// so the schedule cannot change the histograms).
+/// so the schedule cannot change the histograms). Engines come from the
+/// context's compile cache and every measurement runs the engine's word
+/// loop under the context's collector, on the point's thread share.
 pub fn run_ctx(ctx: &mut ExperimentContext) -> EntropyResult {
     let gate = Gate::Toffoli {
         controls: [w(0), w(1)],
@@ -140,10 +142,15 @@ pub fn run_ctx(ctx: &mut ExperimentContext) -> EntropyResult {
         .max(200);
         let seed = share.seed ^ g.to_bits() ^ level as u64;
         let noise = UniformNoise::new(g);
-        let m_short =
-            measure_reset_entropy(p.short.circuit(), &p.input_short, &noise, trials, seed);
-        let m_long =
-            measure_reset_entropy(p.long.circuit(), &p.input_long, &noise, trials, seed ^ 1);
+        let measure = |program: &rft_core::concat::FtProgram, input: &BitState, seed: u64| {
+            let engine = ctx
+                .cache()
+                .engine_with(ctx.obs(), program.circuit(), &noise);
+            let opts = share.options().trials(trials).seed(seed);
+            reset_entropy(&engine, input, &opts, ctx.obs())
+        };
+        let m_short = measure(&p.short, &p.input_short, seed);
+        let m_long = measure(&p.long, &p.input_long, seed ^ 1);
         let measured_bits = ((m_long.bits_per_run - m_short.bits_per_run) / 2.0).max(0.0);
         // G̃: physical ops per next-level gate — 27 for the level-1
         // cycle; the same multiplier is applied per level in the bound.
@@ -324,6 +331,21 @@ mod tests {
         let g_max_1 = l1.iter().max_by(|a, b| a.g.total_cmp(&b.g)).unwrap();
         let g_max_2 = l2.iter().max_by(|a, b| a.g.total_cmp(&b.g)).unwrap();
         assert!(g_max_2.measured_bits > g_max_1.measured_bits);
+    }
+
+    #[test]
+    fn report_is_identical_at_one_and_two_threads() {
+        let at = |threads| {
+            run(&RunConfig {
+                trials: 2000,
+                seed: 47,
+                threads,
+                ..RunConfig::quick()
+            })
+            .to_report()
+            .to_json()
+        };
+        assert_eq!(at(1), at(2));
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! means a fault mask, random plane or estimator decision moved — a
 //! correctness bug, not a perf change.
 //!
+//! One golden was re-pinned on purpose: `entropy.json`, when the reset-
+//! entropy measurement moved from the scalar one-trial loop onto the
+//! engine's word loop — a new RNG stream with the same distribution,
+//! checked against the scalar oracle by
+//! `rft-analysis/tests/entropy_equivalence.rs`.
+//!
 //! Reports are deterministic per seed and thread-count independent (wall
 //! times live in the manifest, which is deliberately not pinned), so the
 //! comparison is exact.
