@@ -129,7 +129,7 @@
 
 use crate::batch::{kernels, BatchExecReport, BatchState};
 use crate::circuit::Circuit;
-use crate::exec::{ExecObserver, ExecReport, NullObserver};
+use crate::exec::ExecReport;
 use crate::fault::FaultPlan;
 use crate::microop::{self, CompileStats, CompiledOps, ExecScratch};
 use crate::noise::NoiseModel;
@@ -967,22 +967,6 @@ impl Engine {
     ///
     /// Panics if the state width does not match the circuit width.
     pub fn run_scalar<R: Rng + ?Sized>(&self, state: &mut BitState, rng: &mut R) -> ExecReport {
-        let mut observer = NullObserver;
-        self.run_scalar_observed(state, rng, &mut observer)
-    }
-
-    /// [`Engine::run_scalar`] with [`ExecObserver`] hooks (used by the
-    /// entropy measurements of §4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state width does not match the circuit width.
-    pub fn run_scalar_observed<R: Rng + ?Sized>(
-        &self,
-        state: &mut BitState,
-        rng: &mut R,
-        observer: &mut dyn ExecObserver,
-    ) -> ExecReport {
         assert_eq!(
             state.len(),
             self.circuit.n_wires(),
@@ -990,17 +974,11 @@ impl Engine {
         );
         let mut report = ExecReport::default();
         for (i, op) in self.circuit.ops().iter().enumerate() {
-            if let Op::Init(init) = op {
-                let values = state.read_pattern(init.wires());
-                observer.before_init(i, init.wires(), values);
-            }
             let p = self.table.probs[i];
-            let faulted = p > 0.0 && rng.random::<f64>() < p;
-            if faulted {
+            if p > 0.0 && rng.random::<f64>() < p {
                 let support = op.support();
                 state.randomize(support.as_slice(), rng);
                 report.faults.push(i);
-                observer.on_fault(i);
             } else {
                 op.apply(state);
             }

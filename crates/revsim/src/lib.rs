@@ -92,7 +92,7 @@ pub mod prelude {
         PlannedFaultBackend, ResetSite, ScalarBackend, Simulation, StratumOutcome, WordTrial,
         WordWidth, DEFAULT_BATCH_THRESHOLD, DEFAULT_STRATA_CAP, STRATIFIED_ROUTING_THRESHOLD,
     };
-    pub use crate::exec::{run_ideal, run_noisy_geometric, ExecObserver, ExecReport};
+    pub use crate::exec::{run_ideal, run_noisy_geometric, ExecReport};
     pub use crate::fault::{double_fault_plans, single_fault_plans, FaultPlan, PlannedFault};
     pub use crate::gate::{Gate, OpKind};
     pub use crate::microop::CompileStats;
