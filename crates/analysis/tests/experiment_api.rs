@@ -3,7 +3,10 @@
 //! determinism contract — a parallel-scheduled run is bit-identical to a
 //! serial run at a fixed seed.
 
-use rft_analysis::experiment::{find, registry, run_experiments, CompileCache, ExperimentContext};
+use rft_analysis::experiment::{
+    find, registry, run_experiments, run_experiments_with, CompileCache, ExperimentContext,
+    RunnerOptions,
+};
 use rft_analysis::experiments::{suppression, threshold, RunConfig};
 use rft_analysis::prelude::*;
 use std::collections::HashSet;
@@ -179,4 +182,46 @@ fn manifest_reflects_run_outcomes() {
     assert_eq!(back.experiments[0].id, "table1");
     assert!(back.experiments[0].passed);
     assert_eq!(back.schema_version, SCHEMA_VERSION);
+}
+
+/// `entropy` runs on the engine's word loop, so its resources section
+/// accounts for every scheduled trial: at each of 4 rates, a 1-cycle and
+/// a 3-cycle program at L1 (`trials / 2` each) and at L2 (`trials / 8`,
+/// at least 200) — 16 programs — with execute time and `engine.words`
+/// spans to match.
+#[test]
+fn entropy_resources_account_for_every_scheduled_trial() {
+    let cfg = RunConfig {
+        trials: 4_000,
+        seed: 11,
+        threads: 2,
+        ..RunConfig::quick()
+    };
+    let obs = rft_obs::Collector::new();
+    let opts = RunnerOptions {
+        obs: obs.clone(),
+        progress: false,
+        attach_resources: true,
+    };
+    let runs = run_experiments_with(&[find("entropy").unwrap()], &cfg, &opts);
+    let res = runs[0]
+        .report
+        .resources
+        .clone()
+        .expect("resources attached");
+    let per_rate = |trials: u64| 2 * trials;
+    let l1 = (cfg.trials / 2).max(200);
+    let l2 = (cfg.trials / 8).max(200);
+    assert_eq!(res.executed_trials, 4 * (per_rate(l1) + per_rate(l2)));
+    assert_eq!(
+        res.executed_words,
+        4 * (per_rate(l1.div_ceil(64)) + per_rate(l2.div_ceil(64)))
+    );
+    assert!(res.execute_ms > 0.0, "execute time unattributed");
+    let words_spans = obs
+        .span_events()
+        .iter()
+        .filter(|e| e.name == "engine.words")
+        .count();
+    assert!(words_spans >= 16, "only {words_spans} engine.words spans");
 }
