@@ -311,12 +311,17 @@ pub(crate) fn lower(circuit: &Circuit, table: &FaultTable, split_inits: bool) ->
     let mut segments = Vec::new();
     let mut pos_of = vec![u8::MAX; circuit.n_wires()];
     let mut i = 0usize;
+    // First INIT after `i` (a segment's end bound when splitting).
+    let mut next_init = 0usize;
     while i < ops.len() {
         let limit = if split_inits {
-            ops[i + 1..]
-                .iter()
-                .position(|op| matches!(op, Op::Init(_)))
-                .map_or(ops.len(), |k| i + 1 + k)
+            if next_init <= i {
+                next_init = ops[i + 1..]
+                    .iter()
+                    .position(|op| matches!(op, Op::Init(_)))
+                    .map_or(ops.len(), |k| i + 1 + k);
+            }
+            next_init
         } else {
             ops.len()
         };
