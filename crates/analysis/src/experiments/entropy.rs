@@ -11,6 +11,7 @@ use rft_core::concat::FtBuilder;
 use rft_core::entropy::{
     h1_upper, hl_lower, hl_upper, kappa, landauer_heat_joules, max_level_constant_entropy,
 };
+use rft_revsim::engine::Engine;
 use rft_revsim::gate::Gate;
 use rft_revsim::noise::UniformNoise;
 use rft_revsim::state::BitState;
@@ -91,9 +92,9 @@ pub fn run(cfg: &RunConfig) -> EntropyResult {
 
 /// [`run`] on an explicit context: the `(level, g)` measurement grid runs
 /// cross-point parallel (each point derives its seed from `(g, level)`,
-/// so the schedule cannot change the histograms). Engines come from the
-/// context's compile cache and every measurement runs the engine's word
-/// loop under the context's collector, on the point's thread share.
+/// so the schedule cannot change the histograms). Every measurement
+/// compiles its own engine and runs the engine's word loop under the
+/// context's collector, on the point's thread share.
 pub fn run_ctx(ctx: &mut ExperimentContext) -> EntropyResult {
     let gate = Gate::Toffoli {
         controls: [w(0), w(1)],
@@ -143,9 +144,11 @@ pub fn run_ctx(ctx: &mut ExperimentContext) -> EntropyResult {
         let seed = share.seed ^ g.to_bits() ^ level as u64;
         let noise = UniformNoise::new(g);
         let measure = |program: &rft_core::concat::FtProgram, input: &BitState, seed: u64| {
-            let engine = ctx
-                .cache()
-                .engine_with(ctx.obs(), program.circuit(), &noise);
+            // Compiled here rather than through the shared cache: no
+            // other experiment runs these (circuit, g) pairs, and a
+            // cached engine would keep its tapped lowering for the rest
+            // of the run.
+            let engine = Engine::compile(program.circuit(), &noise);
             let opts = share.options().trials(trials).seed(seed);
             reset_entropy(&engine, input, &opts, ctx.obs())
         };
