@@ -97,7 +97,6 @@ pub fn reset_entropy(
 /// distribution, different RNG stream) and the baseline of the
 /// `entropy/reset_entropy_oracle_l2` bench.
 pub mod oracle {
-    use super::EntropyMeasurement;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use rft_revsim::circuit::Circuit;
@@ -154,21 +153,6 @@ pub mod oracle {
             }
         }
         sites
-    }
-
-    /// [`super::measure_reset_entropy`] on the scalar reference loop.
-    ///
-    /// # Panics
-    ///
-    /// As [`tally_resets`].
-    pub fn measure_reset_entropy<N: NoiseModel>(
-        circuit: &Circuit,
-        input: &BitState,
-        noise: &N,
-        trials: u64,
-        seed: u64,
-    ) -> EntropyMeasurement {
-        EntropyMeasurement::from_sites(trials, &tally_resets(circuit, input, noise, trials, seed))
     }
 }
 

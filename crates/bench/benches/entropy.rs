@@ -57,8 +57,11 @@ fn entropy_benches(c: &mut Criterion) {
     group.bench_function("reset_entropy_oracle_l2", |b| {
         b.iter(|| {
             black_box(
-                oracle::measure_reset_entropy(l2.circuit(), &l2_input, &l2_noise, l2_trials, 7)
-                    .bits_per_run,
+                EntropyMeasurement::from_sites(
+                    l2_trials,
+                    &oracle::tally_resets(l2.circuit(), &l2_input, &l2_noise, l2_trials, 7),
+                )
+                .bits_per_run,
             )
         });
     });

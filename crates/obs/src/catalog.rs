@@ -21,7 +21,8 @@ pub enum Metric {
     LowerNanos,
     /// Monte-Carlo estimation calls entered.
     EstimateCalls,
-    /// Nanoseconds spent inside estimation calls.
+    /// Nanoseconds spent inside estimation calls and reset tallies
+    /// (the `engine.estimate` span).
     EstimateNanos,
     /// 64-lane words executed by the word loops.
     ExecutedWords,

@@ -1235,7 +1235,10 @@ impl Engine {
                 );
                 self.estimate_stratified(path, trial, opts, min_faults, strata_cap, obs)
             }
-            _ => self.estimate_plain(path, trial, opts, obs, &mut ()),
+            _ => {
+                obs.incr(Metric::PlainRuns);
+                self.estimate_plain(path, trial, opts, obs, &mut ())
+            }
         }
     }
 
@@ -1249,9 +1252,10 @@ impl Engine {
     /// count and width. Only `trials`, `seed`, `threads` and `width` of
     /// `opts` are read.
     ///
-    /// Instrumented like an estimate: an `engine.estimate` span with
-    /// per-worker `engine.words` spans, and the executed words and
-    /// trials in `obs`.
+    /// Instrumented like an estimate's word loop — an `engine.estimate`
+    /// span with per-worker `engine.words` spans, and the executed words
+    /// and trials in `obs` — but not counted as an estimate
+    /// (`engine.estimates` and `estimator.plain_runs` stay put).
     ///
     /// # Panics
     ///
@@ -1270,7 +1274,6 @@ impl Engine {
             "input width must match circuit width"
         );
         let _span = obs.span_metric("engine.estimate", Metric::EstimateNanos);
-        obs.incr(Metric::EstimateCalls);
         Engine::lower_obs(&self.tapped, obs, || {
             TappedOps::compile(&self.circuit, &self.table)
         });
@@ -1295,7 +1298,7 @@ impl Engine {
     }
 
     /// The classic estimator: every requested trial is executed, with
-    /// `tap` watching the word loop.
+    /// `tap` watching the word loop. Callers count the run.
     fn estimate_plain<T: WordTrial + ?Sized, K: InitTap>(
         &self,
         backend: ExecPath,
@@ -1304,7 +1307,6 @@ impl Engine {
         obs: &Collector,
         tap: &mut K,
     ) -> McOutcome {
-        obs.incr(Metric::PlainRuns);
         let threads = opts.threads.max(1);
         let total_words = opts.trials.div_ceil(64);
         let round_words = match opts.target_rel_error {

@@ -21,8 +21,7 @@ use crate::batch::BatchState;
 use crate::circuit::Circuit;
 use crate::engine::FaultTable;
 use crate::microop::{self, CompiledOps, MicroOp};
-use crate::op::Op;
-use crate::wire::Wire;
+use crate::op::{InitOp, Op};
 
 /// Hooks the word loops call around a sampled wide run. `()` is the
 /// no-op tap of the estimate path.
@@ -67,10 +66,8 @@ pub(crate) struct TapPoint {
     pub micro: u32,
     /// Index of the INIT in the original op stream.
     pub op_index: u32,
-    /// The reset wires (unused slots repeat the first wire).
-    pub wires: [Wire; 3],
-    /// Number of reset wires.
-    pub arity: u8,
+    /// The INIT itself (its reset wires).
+    pub init: InitOp,
 }
 
 /// The program lowered with a split before every INIT, plus its INITs in
@@ -94,16 +91,13 @@ impl TappedOps {
                     MicroOp::Native(nat) => nat.op_index,
                     MicroOp::Affine(seg) => ops.segments[*seg as usize].start,
                 };
-                let Op::Init(init) = &stream[first as usize] else {
+                let Op::Init(init) = stream[first as usize] else {
                     return None;
                 };
-                let mut wires = [init.wires()[0]; 3];
-                wires[..init.wires().len()].copy_from_slice(init.wires());
                 Some(TapPoint {
                     micro: mi as u32,
                     op_index: first,
-                    wires,
-                    arity: init.wires().len() as u8,
+                    init,
                 })
             })
             .collect();
@@ -170,12 +164,11 @@ impl InitTap for ResetTap<'_> {
         }
         // Missing wires read as constant-zero planes, so their pattern
         // bits stay 0.
+        let wires = point.init.wires();
         let plane = |k: usize| {
-            if k < point.arity as usize {
-                batch.wide::<W>(point.wires[k])
-            } else {
-                [0u64; W]
-            }
+            wires
+                .get(k)
+                .map_or([0u64; W], |&wire| batch.wide::<W>(wire))
         };
         let (a, b, c) = (plane(0), plane(1), plane(2));
         let counts = &mut self.counts[self.next];
@@ -211,7 +204,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use rft_obs::Collector;
+    use rft_obs::{Collector, Metric};
 
     const N_WIRES: usize = 6;
 
@@ -354,5 +347,20 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn reset_tallies_count_executed_work_but_not_estimates() {
+        let mut c = Circuit::new(2);
+        c.cnot(w(0), w(1)).init(&[w(1)]);
+        let engine = Engine::compile(&c, &UniformNoise::new(0.1));
+        let obs = Collector::new();
+        let trials = 300;
+        engine.tally_resets(&BitState::zeros(2), &McOptions::new(trials), &obs);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter(Metric::ExecutedTrials), trials);
+        assert_eq!(snap.counter(Metric::ExecutedWords), trials.div_ceil(64));
+        assert_eq!(snap.counter(Metric::EstimateCalls), 0);
+        assert_eq!(snap.counter(Metric::PlainRuns), 0);
     }
 }
