@@ -50,7 +50,7 @@ impl EntropyMeasurement {
 /// runs from the fixed initial state `input` (fixed input ensures all
 /// observed randomness comes from faults, matching §4's accounting).
 /// Compiles a one-off engine and runs single-threaded; see
-/// [`reset_entropy`] to reuse a cached engine.
+/// [`reset_entropy`] to reuse a compiled engine.
 ///
 /// # Panics
 ///
