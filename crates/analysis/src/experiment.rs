@@ -44,8 +44,9 @@ use rft_revsim::gate::Gate;
 use rft_revsim::noise::NoiseModel;
 use rft_revsim::op::Op;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One reproduction of a table, figure or analysis of the paper.
@@ -91,6 +92,10 @@ pub trait Experiment: Sync {
 /// reference — in-flight users of an evicted `Arc` are unaffected — and
 /// the monotonic hit/miss/eviction counters survive it.
 ///
+/// **Single flight.** Compiles run outside the store lock. Concurrent
+/// misses on one key compile once: the first caller compiles, the others
+/// wait for its artifact and count as hits.
+///
 /// Hit/miss accounting goes through the shared metrics registry
 /// ([`rft_obs`]): lookups bump `cache.hits` / `cache.misses` on the
 /// caller's [`Collector`] (defaulting to the cache's own), so
@@ -100,15 +105,14 @@ pub trait Experiment: Sync {
 #[derive(Debug)]
 pub struct CompileCache {
     store: Mutex<CostLru<CacheKey, CacheValue>>,
+    /// Compiles in progress, one slot per key.
+    inflight: Mutex<HashMap<CacheKey, Arc<OnceLock<CacheValue>>>>,
     obs: Collector,
 }
 
 impl Default for CompileCache {
     fn default() -> Self {
-        CompileCache {
-            store: Mutex::new(CostLru::new(None)),
-            obs: Collector::default(),
-        }
+        CompileCache::with_collector_and_budget(Collector::default(), None)
     }
 }
 
@@ -164,10 +168,7 @@ impl CompileCache {
     /// bytes of compiled artifacts (cost-based LRU eviction past it),
     /// with its own live metrics collector.
     pub fn bounded(byte_budget: usize) -> Self {
-        CompileCache {
-            store: Mutex::new(CostLru::new(Some(byte_budget))),
-            obs: Collector::default(),
-        }
+        CompileCache::with_collector_and_budget(Collector::default(), Some(byte_budget))
     }
 
     /// Creates an empty unbounded cache recording into `obs` (how the
@@ -182,6 +183,7 @@ impl CompileCache {
     pub fn with_collector_and_budget(obs: Collector, byte_budget: Option<usize>) -> Self {
         CompileCache {
             store: Mutex::new(CostLru::new(byte_budget)),
+            inflight: Mutex::new(HashMap::new()),
             obs,
         }
     }
@@ -217,29 +219,14 @@ impl CompileCache {
         cycles: usize,
     ) -> Arc<ConcatMc> {
         let key = CacheKey::Program(level, gate, cycles);
-        if let Some(CacheValue::Program(mc)) = self.store.lock().expect("cache poisoned").get(&key)
-        {
-            obs.incr(Metric::CacheHits);
-            return mc;
-        }
-        // Compile outside the lock (level-2 programs are thousands of ops);
-        // a racing duplicate compile is tolerated — the first insert wins
-        // and the loser's artifact is dropped.
-        obs.incr(Metric::CacheMisses);
-        let start = Instant::now();
-        let mc = {
-            let _span = obs.span_metric("cache.compile", Metric::CompileNanos);
-            Arc::new(ConcatMc::new(level, gate, cycles))
-        };
-        let cost_nanos = start.elapsed().as_nanos() as u64;
-        let bytes = mc.approx_bytes();
-        let (value, evicted) = self.store.lock().expect("cache poisoned").insert(
-            key,
-            CacheValue::Program(mc),
-            bytes,
-            cost_nanos,
-        );
-        self.publish_store_stats(obs, evicted);
+        let value = self.get_or_compile(obs, key, || {
+            let mc = {
+                let _span = obs.span_metric("cache.compile", Metric::CompileNanos);
+                Arc::new(ConcatMc::new(level, gate, cycles))
+            };
+            let bytes = mc.approx_bytes();
+            (CacheValue::Program(mc), bytes)
+        });
         match value {
             CacheValue::Program(mc) => mc,
             CacheValue::Engine(_) => unreachable!("program key always maps to a program"),
@@ -266,30 +253,71 @@ impl CompileCache {
         noise: &N,
     ) -> Arc<Engine> {
         let key = CacheKey::Engine(EngineKey::new(circuit, noise));
-        if let Some(CacheValue::Engine(e)) = self.store.lock().expect("cache poisoned").get(&key) {
-            obs.incr(Metric::CacheHits);
-            return e;
-        }
-        obs.incr(Metric::CacheMisses);
-        obs.incr(Metric::EngineCompiles);
-        let start = Instant::now();
-        let engine = {
-            let _span = obs.span_metric("cache.compile", Metric::CompileNanos);
-            Arc::new(Engine::compile(circuit, noise))
-        };
-        let cost_nanos = start.elapsed().as_nanos() as u64;
-        let bytes = engine.approx_bytes();
-        let (value, evicted) = self.store.lock().expect("cache poisoned").insert(
-            key,
-            CacheValue::Engine(engine),
-            bytes,
-            cost_nanos,
-        );
-        self.publish_store_stats(obs, evicted);
+        let value = self.get_or_compile(obs, key, || {
+            obs.incr(Metric::EngineCompiles);
+            let engine = {
+                let _span = obs.span_metric("cache.compile", Metric::CompileNanos);
+                Arc::new(Engine::compile(circuit, noise))
+            };
+            let bytes = engine.approx_bytes();
+            (CacheValue::Engine(engine), bytes)
+        });
         match value {
             CacheValue::Engine(e) => e,
             CacheValue::Program(_) => unreachable!("engine key always maps to an engine"),
         }
+    }
+
+    /// The artifact of `key`: a hit returns the cached one; a miss
+    /// compiles it with `compile` (artifact and its approximate bytes),
+    /// outside the store lock, and inserts it. Concurrent misses on one
+    /// key share a single compile — the callers that waited for it count
+    /// as hits.
+    fn get_or_compile(
+        &self,
+        obs: &Collector,
+        key: CacheKey,
+        compile: impl FnOnce() -> (CacheValue, usize),
+    ) -> CacheValue {
+        let lookup = || self.store.lock().expect("cache poisoned").get(&key);
+        if let Some(value) = lookup() {
+            obs.incr(Metric::CacheHits);
+            return value;
+        }
+        let flight = {
+            let mut inflight = self.inflight.lock().expect("cache poisoned");
+            // A compile that finished since the lookup above has already
+            // inserted its artifact (and left the in-flight table).
+            if let Some(value) = lookup() {
+                obs.incr(Metric::CacheHits);
+                return value;
+            }
+            Arc::clone(inflight.entry(key.clone()).or_default())
+        };
+        let mut compiled = false;
+        let value = flight
+            .get_or_init(|| {
+                compiled = true;
+                obs.incr(Metric::CacheMisses);
+                let start = Instant::now();
+                let (value, bytes) = compile();
+                let cost_nanos = start.elapsed().as_nanos() as u64;
+                let (value, evicted) = self.store.lock().expect("cache poisoned").insert(
+                    key.clone(),
+                    value,
+                    bytes,
+                    cost_nanos,
+                );
+                self.publish_store_stats(obs, evicted);
+                value
+            })
+            .clone();
+        if compiled {
+            self.inflight.lock().expect("cache poisoned").remove(&key);
+        } else {
+            obs.incr(Metric::CacheHits);
+        }
+        value
     }
 
     /// Publishes the store-level gauges (and eviction count) after an
@@ -815,6 +843,35 @@ mod tests {
         assert_eq!(cache.engines_cached(), 2);
         assert!(cache.hits() >= 2);
         assert!(cache.misses() >= 4);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_compile_once() {
+        let cache = CompileCache::new();
+        let mc = ConcatMc::new(2, toffoli(), 1);
+        let noise = UniformNoise::new(1e-3);
+        let threads = 8;
+        let barrier = std::sync::Barrier::new(threads);
+        let (engines, programs): (Vec<_>, Vec<_>) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        let engine = cache.engine(mc.program().circuit(), &noise);
+                        (engine, cache.concat(2, toffoli(), 2))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("racing thread"))
+                .unzip()
+        });
+        assert!(engines.windows(2).all(|p| Arc::ptr_eq(&p[0], &p[1])));
+        assert!(programs.windows(2).all(|p| Arc::ptr_eq(&p[0], &p[1])));
+        assert_eq!(cache.collector().get(Metric::EngineCompiles), 1);
+        assert_eq!(cache.misses(), 2, "one compile per key");
+        assert_eq!(cache.hits(), 2 * threads as u64 - 2, "the waiters are hits");
     }
 
     #[test]
