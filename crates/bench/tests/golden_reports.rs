@@ -8,11 +8,18 @@
 //! means a fault mask, random plane or estimator decision moved — a
 //! correctness bug, not a perf change.
 //!
-//! One golden was re-pinned on purpose: `entropy.json`, when the reset-
-//! entropy measurement moved from the scalar one-trial loop onto the
-//! engine's word loop — a new RNG stream with the same distribution,
-//! checked against the scalar oracle by
-//! `rft-analysis/tests/entropy_equivalence.rs`.
+//! Goldens were re-pinned on purpose twice, each time for a new RNG
+//! stream with an unchanged distribution:
+//!
+//! - `entropy.json`, when the reset-entropy measurement moved from the
+//!   scalar one-trial loop onto the engine's word loop (checked against
+//!   the scalar oracle by `rft-analysis/tests/entropy_equivalence.rs`);
+//! - every Monte-Carlo golden (`ablation`, `detectcov`, `detecthybrid`,
+//!   `detectoverhead`, `detectwidth`, `entropy`, `local`, `suppression`,
+//!   `threshold`), when each word's fault schedule came to be drawn up
+//!   front in O(faults) by one fault source for plain and stratified
+//!   estimation (checked against the retired per-op and conditional
+//!   samplers by `rft-revsim/tests/fault_source.rs`).
 //!
 //! Reports are deterministic per seed and thread-count independent (wall
 //! times live in the manifest, which is deliberately not pinned), so the

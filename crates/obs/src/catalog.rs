@@ -41,6 +41,9 @@ pub enum Metric {
     ReplayedSegments,
     /// Words executed under a conditional (stratified) mask schedule.
     MaskedWords,
+    /// 64-bit RNG words drawn for fault schedules (plain and
+    /// conditioned).
+    MaskDraws,
     /// Plain-estimator runs.
     PlainRuns,
     /// Stratified-estimator runs.
@@ -89,7 +92,7 @@ pub enum Metric {
 
 impl Metric {
     /// Number of counters in the catalog.
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 34;
 
     /// Every counter, in catalog order.
     pub const ALL: [Metric; Metric::COUNT] = [
@@ -107,6 +110,7 @@ impl Metric {
         Metric::FusedSegments,
         Metric::ReplayedSegments,
         Metric::MaskedWords,
+        Metric::MaskDraws,
         Metric::PlainRuns,
         Metric::StratifiedRuns,
         Metric::StratifiedRounds,
@@ -145,6 +149,7 @@ impl Metric {
             Metric::FusedSegments => "engine.fused_segments",
             Metric::ReplayedSegments => "engine.replayed_segments",
             Metric::MaskedWords => "engine.masked_words",
+            Metric::MaskDraws => "engine.mask_draws",
             Metric::PlainRuns => "estimator.plain_runs",
             Metric::StratifiedRuns => "estimator.stratified_runs",
             Metric::StratifiedRounds => "estimator.rounds",
@@ -178,6 +183,7 @@ impl Metric {
             Metric::ExecutedWords | Metric::MaskedWords | Metric::AllocatedWords => "words",
             Metric::ExecutedTrials | Metric::LaneFailures | Metric::FaultedLanes => "lanes",
             Metric::FaultEvents => "events",
+            Metric::MaskDraws => "draws",
             Metric::FusedSegments | Metric::ReplayedSegments => "segments",
             Metric::PlainRuns | Metric::StratifiedRuns | Metric::EarlyStops => "runs",
             Metric::StratifiedRounds => "rounds",
@@ -210,7 +216,8 @@ impl Metric {
             | Metric::FaultEvents
             | Metric::FusedSegments
             | Metric::ReplayedSegments
-            | Metric::MaskedWords => "engine",
+            | Metric::MaskedWords
+            | Metric::MaskDraws => "engine",
             Metric::PlainRuns
             | Metric::StratifiedRuns
             | Metric::StratifiedRounds

@@ -121,8 +121,8 @@ pub fn apply_gate_word(state: &mut BatchState, gate: &Gate, word: usize) {
 /// skip the operation and take the random bits `rand[k]` on the k-th
 /// support wire (support order matches [`crate::op::Op::support`]).
 ///
-/// Driven both by the engine's sampled fault masks and by the stratified
-/// estimator's precomputed conditional schedules.
+/// Driven by the engine's precomputed fault schedules (plain and
+/// conditioned) on the raw op-at-a-time reference loop.
 #[inline]
 pub fn apply_word_masked(
     state: &mut BatchState,

@@ -10,10 +10,11 @@
 //!
 //! Noisy execution ([`exec`]) keeps the paper's fault semantics exactly: a
 //! faulting operation skips execution and replaces its support bits by
-//! uniform random bits, independently per lane. Faults are sampled per
-//! operation per word as a 64-lane Bernoulli mask (via an exact binomial
-//! draw), so the expected RNG cost is one `f64` per operation per 64 trials
-//! instead of one per operation per trial.
+//! uniform random bits, independently per lane. Each word's faults are
+//! drawn up front as one 64-lane Bernoulli mask per operation, skipping
+//! geometrically from one faulted operation to the next, so the RNG cost
+//! grows with the number of faults rather than with the number of
+//! operations × trials.
 //!
 //! ```
 //! use rft_revsim::prelude::*;

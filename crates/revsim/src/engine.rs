@@ -8,10 +8,11 @@
 //! The pieces:
 //!
 //! - [`Engine`] — the compile-once artifact: the flattened operation
-//!   stream plus the per-operation fault probabilities and the exact
-//!   binomial fault-mask samplers derived from a bound [`NoiseModel`].
-//!   Compiling is one pass over the circuit; an `Engine` is then reused
-//!   across as many runs as needed.
+//!   stream plus the per-operation fault probabilities derived from a
+//!   bound [`NoiseModel`]. Compiling is one pass over the circuit; the
+//!   fault source (`crate::source`: every word's fault schedule in
+//!   O(faults)) and the micro-op program are built lazily on first use,
+//!   and an `Engine` is then reused across as many runs as needed.
 //! - [`Backend`] — an object-safe execution strategy over 64-lane words:
 //!   [`ScalarBackend`] (the semantic reference: one [`BitState`] per lane,
 //!   ops applied scalarly), [`BatchBackend`] (branch-free bit-plane
@@ -35,10 +36,13 @@
 //! amortize plane packing) and to [`ScalarBackend`] below it.
 //!
 //! Both Monte-Carlo backends consume the *same* random stream in the same
-//! order — one fault mask per operation per word, then one random plane
-//! per support wire of faulting words — so for a given seed they produce
+//! order — per word, its trial inputs, then its whole fault schedule
+//! (drawn in O(faults) by the fault source), then the random planes of
+//! its faulted ops in op order — so for a given seed they produce
 //! **bit-identical lanes**, not merely statistically equivalent ones. The
-//! property tests in `tests/batch_equivalence.rs` pin this down.
+//! property tests in `tests/batch_equivalence.rs` pin this down; the
+//! schedules' distribution is checked against the retired per-op sampler
+//! in `tests/fault_source.rs`.
 //!
 //! # Rare-event estimation
 //!
@@ -92,7 +96,9 @@
 //! word still derives its RNG stream from `(seed, global word index)`,
 //! and both Monte-Carlo backends execute one shared conditional mask
 //! schedule, so stratified results are bit-identical across backends and
-//! thread counts for a given seed.
+//! thread counts for a given seed. Plain and stratified words run through
+//! the same word loop; they differ only in the distribution their fault
+//! schedules are drawn from.
 //!
 //! # Examples
 //!
@@ -131,9 +137,10 @@ use crate::batch::{kernels, BatchExecReport, BatchState};
 use crate::circuit::Circuit;
 use crate::exec::ExecReport;
 use crate::fault::FaultPlan;
-use crate::microop::{self, CompileStats, CompiledOps, ExecScratch};
+use crate::microop::{self, CompileStats, CompiledOps, ExecScratch, WideOutcome};
 use crate::noise::NoiseModel;
 use crate::op::Op;
+use crate::source::{FaultSource, LaneFaults};
 use crate::state::BitState;
 use crate::tap::{InitTap, ResetTap, TappedOps};
 use crate::wire::Wire;
@@ -159,11 +166,6 @@ pub const DEFAULT_STRATA_CAP: u32 = 4;
 /// conditioning pays for its bookkeeping many times over.
 pub const STRATIFIED_ROUTING_THRESHOLD: f64 = 0.2;
 
-/// Tail mass below which the fault-count PMF is truncated. The stratified
-/// estimator is exactly unbiased for the truncated distribution, which is
-/// within this absolute mass of the true Poisson binomial.
-const PMF_TAIL_EPS: f64 = 1e-12;
-
 /// Upper bound on the doubling round size of the stratified word loop
 /// (bounds thread-spawn overhead without starving reallocation).
 const MAX_ROUND_WORDS: u64 = 8192;
@@ -185,103 +187,29 @@ pub(crate) const WORD_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 pub(crate) const NEVER: usize = usize::MAX;
 
 // ---------------------------------------------------------------------------
-// Fault table: per-op probabilities + exact binomial mask samplers
+// Fault table: per-op probabilities grouped by rate
 // ---------------------------------------------------------------------------
 
-/// Per-operation fault-mask sampler: the CDF of `Binomial(64, p)`.
-#[derive(Debug, Clone)]
-pub(crate) struct MaskSampler {
-    /// `cdf[k]` = P(number of faulting lanes ≤ k); `cdf[64] = 1`.
-    cdf: Vec<f64>,
-}
-
-impl MaskSampler {
-    pub(crate) fn new(p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "fault probability must be in [0,1], got {p}"
-        );
-        let mut cdf = vec![1.0; 65];
-        if p == 0.0 {
-            return MaskSampler { cdf };
-        }
-        if p == 1.0 {
-            for c in cdf.iter_mut().take(64) {
-                *c = 0.0;
-            }
-            return MaskSampler { cdf };
-        }
-        let ratio = p / (1.0 - p);
-        let mut pmf = (1.0 - p).powi(64);
-        let mut acc = 0.0;
-        for (k, c) in cdf.iter_mut().enumerate().take(64) {
-            acc += pmf;
-            *c = acc.min(1.0);
-            pmf *= ratio * (64 - k) as f64 / (k + 1) as f64;
-        }
-        MaskSampler { cdf }
-    }
-
-    /// Draws a 64-lane fault mask distributed as 64 i.i.d. Bernoulli(p)
-    /// bits: one exact binomial draw for the fault count, then uniform
-    /// placement — one `f64` sample in the common zero-fault case.
-    #[inline]
-    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        let u: f64 = rng.random();
-        // Fast path: no faults in this word.
-        if u < self.cdf[0] {
-            return 0;
-        }
-        let mut k = 1usize;
-        while k < 64 && u >= self.cdf[k] {
-            k += 1;
-        }
-        // Choose k distinct lane positions uniformly. For k > 32 place the
-        // complement instead (fewer rejections). The draw is the exact
-        // `random_range(0..64)` stream — for a power-of-two span Lemire's
-        // rejection zone is empty and the map is the top six bits — spelt
-        // out to keep the hardware division out of this hot path.
-        let (count, invert) = if k <= 32 { (k, false) } else { (64 - k, true) };
-        let mut mask = 0u64;
-        let mut placed = 0usize;
-        while placed < count {
-            let bit = 1u64 << (rng.random::<u64>() >> 58);
-            if mask & bit == 0 {
-                mask |= bit;
-                placed += 1;
-            }
-        }
-        if invert {
-            !mask
-        } else {
-            mask
-        }
-    }
-}
-
 /// A [`NoiseModel`] lowered against one circuit: per-op fault
-/// probabilities plus one mask sampler per distinct probability.
+/// probabilities, grouped into rate groups (ops sharing one probability).
 #[derive(Debug, Clone)]
 pub(crate) struct FaultTable {
     /// Fault probability per operation.
     pub(crate) probs: Vec<f64>,
-    /// Sampler index per operation ([`NEVER`] = never faults).
-    pub(crate) sampler_of: Vec<usize>,
-    pub(crate) samplers: Vec<MaskSampler>,
-    /// Fault probability per sampler (one per distinct nonzero rate).
-    sampler_rates: Vec<f64>,
+    /// Rate group per operation ([`NEVER`] = never faults).
+    pub(crate) group_of: Vec<usize>,
+    /// Fault probability per rate group (one per distinct nonzero rate).
+    pub(crate) rates: Vec<f64>,
     /// `Π (1 − p_i)`: probability that one trial executes fault-free.
     p_fault_free: f64,
 }
 
 impl FaultTable {
     pub(crate) fn compile<N: NoiseModel + ?Sized>(circuit: &Circuit, noise: &N) -> Self {
-        let mut rates: Vec<u64> = Vec::new();
-        let mut samplers = Vec::new();
-        let mut sampler_rates = Vec::new();
+        let mut rates: Vec<f64> = Vec::new();
         let mut probs = Vec::with_capacity(circuit.len());
         let mut p_fault_free = 1.0f64;
-        let sampler_of = circuit
+        let group_of = circuit
             .ops()
             .iter()
             .map(|op| {
@@ -295,463 +223,170 @@ impl FaultTable {
                 if p <= 0.0 {
                     return NEVER;
                 }
-                let bits = p.to_bits();
-                match rates.iter().position(|&r| r == bits) {
+                match rates.iter().position(|&r| r.to_bits() == p.to_bits()) {
                     Some(i) => i,
                     None => {
-                        rates.push(bits);
-                        samplers.push(MaskSampler::new(p));
-                        sampler_rates.push(p);
-                        samplers.len() - 1
+                        rates.push(p);
+                        rates.len() - 1
                     }
                 }
             })
             .collect();
         FaultTable {
             probs,
-            sampler_of,
-            samplers,
-            sampler_rates,
+            group_of,
+            rates,
             p_fault_free,
         }
     }
-
-    pub(crate) fn n_ops(&self) -> usize {
-        self.sampler_of.len()
-    }
 }
 
-// ---------------------------------------------------------------------------
-// Fault-count distribution: Poisson binomial over the rate groups
-// ---------------------------------------------------------------------------
-
-/// The per-trial fault-count distribution of a compiled circuit — a
-/// Poisson binomial over the per-op Bernoulli fault indicators, factored
-/// through the engine's *rate groups* (ops sharing one probability, i.e.
-/// one [`MaskSampler`]), so a group's contribution is an exact
-/// `Binomial(n_j, p_j)`.
-///
-/// Built lazily (once per [`Engine`]) by [`Engine::fault_dist`]; powers
-/// the [`Estimator::Stratified`] weights and the conditional fault
-/// placement. PMFs are truncated where the remaining tail mass drops
-/// below [`PMF_TAIL_EPS`]; the stratified estimator is exactly unbiased
-/// for the truncated distribution.
-#[derive(Debug, Clone)]
-pub(crate) struct FaultCountDist {
-    /// Rate groups in sampler order.
-    groups: Vec<FaultGroup>,
-    /// `suffix[j][k]` = P(groups `j..` contribute exactly `k` faults);
-    /// `suffix[0]` is the full fault-count PMF. `suffix[m]` = `[1.0]`.
-    suffix: Vec<Vec<f64>>,
-    /// Mass beyond the PMF truncation point (`P(K ≥ pmf len)`), folded
-    /// into the top bin when the tail stratum samples a count.
-    tail_beyond: f64,
-}
-
-#[derive(Debug, Clone)]
-struct FaultGroup {
-    /// Global op indices sharing this rate (placement is uniform here).
-    ops: Vec<u32>,
-    /// `Binomial(ops.len(), rate)` PMF, truncated like the total PMF.
-    pmf: Vec<f64>,
-}
-
-/// `Binomial(n, p)` PMF by the stable multiplicative recurrence, truncated
-/// once the accumulated mass reaches `1 − PMF_TAIL_EPS / 4`.
-fn binomial_pmf(n: usize, p: f64) -> Vec<f64> {
-    if p >= 1.0 {
-        let mut pmf = vec![0.0; n + 1];
-        pmf[n] = 1.0;
-        return pmf;
-    }
-    let ratio = p / (1.0 - p);
-    let mut pmf = Vec::with_capacity(n + 1);
-    let mut term = (1.0 - p).powi(n as i32);
-    let mut acc = 0.0;
-    for k in 0..=n {
-        pmf.push(term);
-        acc += term;
-        if acc >= 1.0 - PMF_TAIL_EPS / 4.0 {
-            break;
-        }
-        term *= ratio * (n - k) as f64 / (k + 1) as f64;
-    }
-    pmf
-}
-
-/// Convolution of two truncated PMFs, re-truncated at the same tail mass.
-fn convolve_pmf(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; a.len() + b.len() - 1];
-    for (i, &x) in a.iter().enumerate() {
-        if x == 0.0 {
-            continue;
-        }
-        for (j, &y) in b.iter().enumerate() {
-            out[i + j] += x * y;
-        }
-    }
-    // Trim the tail once the retained mass is within tolerance.
-    let mut acc = 0.0;
-    let mut keep = out.len();
-    for (k, &v) in out.iter().enumerate() {
-        acc += v;
-        if acc >= 1.0 - PMF_TAIL_EPS / 4.0 {
-            keep = k + 1;
-            break;
-        }
-    }
-    out.truncate(keep);
-    out
-}
-
-impl FaultCountDist {
-    /// Approximate heap footprint (size input of cache eviction).
-    fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let groups: usize = self
-            .groups
-            .iter()
-            .map(|g| {
-                size_of::<FaultGroup>()
-                    + g.ops.len() * size_of::<u32>()
-                    + g.pmf.len() * size_of::<f64>()
-            })
-            .sum();
-        let suffix: usize = self
-            .suffix
-            .iter()
-            .map(|row| size_of::<Vec<f64>>() + row.len() * size_of::<f64>())
-            .sum();
-        size_of::<FaultCountDist>() + groups + suffix
-    }
-
-    fn build(table: &FaultTable) -> Self {
-        let mut groups: Vec<FaultGroup> = table
-            .sampler_rates
-            .iter()
-            .map(|_| FaultGroup {
-                ops: Vec::new(),
-                pmf: Vec::new(),
-            })
-            .collect();
-        for (i, &s) in table.sampler_of.iter().enumerate() {
-            if s != NEVER {
-                groups[s].ops.push(i as u32);
-            }
-        }
-        for (group, &rate) in groups.iter_mut().zip(&table.sampler_rates) {
-            group.pmf = binomial_pmf(group.ops.len(), rate);
-        }
-        let m = groups.len();
-        let mut suffix = vec![Vec::new(); m + 1];
-        suffix[m] = vec![1.0];
-        for j in (0..m).rev() {
-            suffix[j] = convolve_pmf(&groups[j].pmf, &suffix[j + 1]);
-        }
-        let tail_beyond = (1.0 - suffix[0].iter().sum::<f64>()).max(0.0);
-        FaultCountDist {
-            groups,
-            suffix,
-            tail_beyond,
-        }
-    }
-
-    /// The (truncated) fault-count PMF.
-    pub(crate) fn pmf(&self) -> &[f64] {
-        &self.suffix[0]
-    }
-
-    /// `P(K = k)` (zero beyond the truncation point).
-    pub(crate) fn pmf_at(&self, k: usize) -> f64 {
-        self.pmf().get(k).copied().unwrap_or(0.0)
-    }
-
-    /// `P(K ≥ k)`, including the truncated tail mass.
-    pub(crate) fn mass_at_least(&self, k: usize) -> f64 {
-        let below: f64 = self.pmf().iter().take(k).sum();
-        (1.0 - below).max(0.0)
-    }
-
-    /// Largest fault count the truncated PMF represents.
-    pub(crate) fn max_k(&self) -> usize {
-        self.pmf().len() - 1
-    }
-
-    /// Samples the fault set of one lane conditioned on **exactly** `k`
-    /// faults, appending global op indices to `out` (cleared first).
-    ///
-    /// Sequential conditional sampling over the rate groups: group `j`
-    /// takes `t` faults with probability `B_j[t] · S_{j+1}[rem − t] /
-    /// S_j[rem]`, then `t` distinct ops are placed uniformly within the
-    /// group (exact, since all its ops share one rate).
-    fn sample_exact<R: Rng + ?Sized>(
-        &self,
-        k: usize,
-        rng: &mut R,
-        out: &mut Vec<u32>,
-        scratch: &mut Vec<usize>,
-    ) {
-        out.clear();
-        let mut rem = k;
-        let m = self.groups.len();
-        for j in 0..m {
-            if rem == 0 {
-                break;
-            }
-            let group = &self.groups[j];
-            let t = if j + 1 == m {
-                rem.min(group.ops.len())
-            } else {
-                let total = self.suffix[j].get(rem).copied().unwrap_or(0.0);
-                let hi = rem.min(group.pmf.len() - 1);
-                let mut chosen = hi.min(group.ops.len());
-                if total > 0.0 {
-                    let mut u = rng.random::<f64>() * total;
-                    let next = &self.suffix[j + 1];
-                    for t in 0..=hi {
-                        let w = group.pmf[t] * next.get(rem - t).copied().unwrap_or(0.0);
-                        if u < w {
-                            chosen = t;
-                            break;
-                        }
-                        u -= w;
-                    }
-                }
-                chosen
-            };
-            place_uniform(&group.ops, t, rng, out, scratch);
-            rem -= t;
-        }
-    }
-}
-
-/// Appends `t` distinct elements of `ops`, chosen uniformly, to `out`.
-/// Rejection sampling on the smaller of the set and its complement;
-/// `scratch` is a caller-owned buffer reused across calls.
-fn place_uniform<R: Rng + ?Sized>(
-    ops: &[u32],
-    t: usize,
-    rng: &mut R,
-    out: &mut Vec<u32>,
-    scratch: &mut Vec<usize>,
-) {
-    let n = ops.len();
-    debug_assert!(t <= n);
-    if t == 0 {
-        return;
-    }
-    if t == n {
-        out.extend_from_slice(ops);
-        return;
-    }
-    let (count, invert) = if 2 * t <= n {
-        (t, false)
-    } else {
-        (n - t, true)
-    };
-    // Inlined `random_range(0..n)` (Lemire widening multiply with a
-    // rejection zone) with the threshold modulo hoisted out of the
-    // placement loop — the draw stream and outputs are bit-identical to
-    // the `rand` call, without one hardware division per placement.
-    let span = n as u64;
-    let threshold = span.wrapping_neg() % span;
-    scratch.clear();
-    while scratch.len() < count {
-        let i = loop {
-            let wide = (rng.random::<u64>() as u128) * (span as u128);
-            if (wide as u64) >= threshold {
-                break (wide >> 64) as usize;
-            }
-        };
-        if !scratch.contains(&i) {
-            scratch.push(i);
-        }
-    }
-    if invert {
-        out.extend(
-            ops.iter()
-                .enumerate()
-                .filter(|(i, _)| !scratch.contains(i))
-                .map(|(_, &op)| op),
-        );
-    } else {
-        out.extend(scratch.iter().map(|&i| ops[i]));
-    }
-}
-
-/// Executes the batch word loop for `circuit` under `table` — the single
-/// implementation behind [`Engine::run_batch`] and [`BatchBackend`].
-pub(crate) fn run_batch_words<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    table: &FaultTable,
+/// Draws one plain fault schedule per word of `batch` from `rng`, then
+/// executes it on the raw op-at-a-time loop — per-lane [`BitState`]
+/// replay when `scalar` — drawing the fault planes from the same `rng`.
+/// The single implementation behind [`Engine::run_batch`] and the
+/// [`ScalarBackend`]/[`BatchBackend`] `run` methods.
+fn run_sampled<R: RngCore + ?Sized>(
+    engine: &Engine,
     batch: &mut BatchState,
     rng: &mut R,
+    scalar: bool,
 ) -> BatchExecReport {
     assert_eq!(
         batch.n_wires(),
-        circuit.n_wires(),
+        engine.circuit.n_wires(),
         "batch width must match circuit width"
     );
-    assert_eq!(
-        table.n_ops(),
-        circuit.len(),
-        "compiled noise does not match this circuit"
-    );
     let words = batch.words_per_wire();
+    let mut masks = vec![0u64; engine.circuit.len() * words];
+    let source = engine.fault_source();
+    for slot in 0..words {
+        source.plain(rng, &mut masks, words, slot);
+    }
+    if scalar {
+        run_masked_scalar(&engine.circuit, batch, &masks, rng)
+    } else {
+        run_masked_raw(&engine.circuit, batch, &masks, rng)
+    }
+}
+
+/// Executes `batch` under a **precomputed** fault-mask schedule
+/// (`masks[op * words + w]` = lanes in which op `op` faults in plane word
+/// `w`) on the op-at-a-time bit-plane kernels — the raw reference the
+/// compiled masked loop is benchmarked and property-tested against.
+/// Fault planes are drawn from `rng` per op in op order, word by word,
+/// exactly as [`run_masked_scalar`] draws them.
+pub(crate) fn run_masked_raw<R: RngCore + ?Sized>(
+    circuit: &Circuit,
+    batch: &mut BatchState,
+    masks: &[u64],
+    rng: &mut R,
+) -> BatchExecReport {
+    let words = check_masked(circuit, batch, masks);
     let mut report = BatchExecReport {
         fault_events: 0,
         faulted_lanes: vec![0; words],
     };
-    for (op, &sampler_idx) in circuit.ops().iter().zip(&table.sampler_of) {
-        if sampler_idx == NEVER {
-            for word in 0..words {
-                kernels::apply_word(batch, op, word);
-            }
-            continue;
-        }
-        let sampler = &table.samplers[sampler_idx];
-        for word in 0..words {
-            let fault = sampler.sample(rng);
+    for (op, masks) in circuit.ops().iter().zip(masks.chunks_exact(words)) {
+        for (word, &fault) in masks.iter().enumerate() {
             if fault == 0 {
                 kernels::apply_word(batch, op, word);
-            } else {
-                let mut rand_planes = [0u64; 4];
-                for plane in rand_planes.iter_mut().take(op.arity()) {
-                    *plane = rng.random::<u64>();
-                }
-                kernels::apply_word_masked(batch, op, word, fault, &rand_planes);
-                report.fault_events += fault.count_ones() as u64;
-                report.faulted_lanes[word] |= fault;
+                continue;
             }
+            let mut rand_planes = [0u64; 4];
+            fill_fault_planes(op.arity(), fault, rng, &mut rand_planes);
+            kernels::apply_word_masked(batch, op, word, fault, &rand_planes);
+            report.fault_events += fault.count_ones() as u64;
+            report.faulted_lanes[word] |= fault;
         }
     }
     report
 }
 
-/// Executes one 64-lane word under a **precomputed** per-op fault-mask
-/// schedule on the bit-plane kernels — the stratified estimator's batch
-/// execution path. Fault randomness is drawn from the **concrete**
-/// `SmallRng` (one plane per support wire of each masked op, in op
-/// order, fully inlinable — dynamic RNG dispatch costs ~30% here);
-/// the draw order matches [`run_masked_word_scalar`] exactly, so the two
-/// backends stay bit-identical under shared schedules.
-pub(crate) fn run_masked_word_batch(
-    circuit: &Circuit,
-    batch: &mut BatchState,
-    masks: &[u64],
-    rng: &mut SmallRng,
-) -> BatchExecReport {
-    assert_eq!(
-        batch.words_per_wire(),
-        1,
-        "masked execution drives single-word batches"
-    );
+/// Asserts that `masks` is a schedule for `batch` under `circuit`;
+/// returns the batch's plane words per wire.
+fn check_masked(circuit: &Circuit, batch: &BatchState, masks: &[u64]) -> usize {
     assert_eq!(
         batch.n_wires(),
         circuit.n_wires(),
         "batch width must match circuit width"
     );
+    let words = batch.words_per_wire();
     assert_eq!(
         masks.len(),
-        circuit.len(),
+        circuit.len() * words,
         "mask schedule does not match this circuit"
     );
-    let mut report = BatchExecReport {
-        fault_events: 0,
-        faulted_lanes: vec![0; 1],
-    };
-    for (op, &fault) in circuit.ops().iter().zip(masks) {
-        if fault == 0 {
-            kernels::apply_word(batch, op, 0);
-            continue;
-        }
-        let mut rand_planes = [0u64; 4];
-        fill_fault_planes(op.arity(), fault, rng, &mut rand_planes);
-        kernels::apply_word_masked(batch, op, 0, fault, &rand_planes);
-        report.fault_events += fault.count_ones() as u64;
-        report.faulted_lanes[0] |= fault;
-    }
-    report
+    words
 }
 
 /// Fills the per-support-wire random planes a masked op consumes. In the
 /// common sparse case — a single faulted lane — only `arity` random
 /// *bits* are needed, so one `u64` draw covers them; otherwise one full
 /// plane per support wire is drawn. Part of the shared backend schedule:
-/// both masked runners call this in the same op order.
+/// every masked runner calls this in the same op order.
 #[inline]
-pub(crate) fn fill_fault_planes(
+pub(crate) fn fill_fault_planes<R: RngCore + ?Sized>(
     arity: usize,
     fault: u64,
-    rng: &mut SmallRng,
+    rng: &mut R,
     rand_planes: &mut [u64; 4],
 ) {
     if fault.count_ones() == 1 {
         let lane = fault.trailing_zeros();
-        let bits = rng.random::<u64>();
+        let bits = rng.next_u64();
         for (k, plane) in rand_planes.iter_mut().enumerate().take(arity) {
             *plane = ((bits >> k) & 1) << lane;
         }
         return;
     }
     for plane in rand_planes.iter_mut().take(arity) {
-        *plane = rng.random::<u64>();
+        *plane = rng.next_u64();
     }
 }
 
-/// Scalar twin of [`run_masked_word_batch`]: unpacks every lane into a
+/// Scalar twin of [`run_masked_raw`]: unpacks every lane into a
 /// [`BitState`] and replays the identical fault schedule and random-plane
 /// stream one lane at a time.
-pub(crate) fn run_masked_word_scalar(
+pub(crate) fn run_masked_scalar<R: RngCore + ?Sized>(
     circuit: &Circuit,
     batch: &mut BatchState,
     masks: &[u64],
-    rng: &mut SmallRng,
+    rng: &mut R,
 ) -> BatchExecReport {
-    assert_eq!(
-        batch.words_per_wire(),
-        1,
-        "masked execution drives single-word batches"
-    );
-    assert_eq!(
-        batch.n_wires(),
-        circuit.n_wires(),
-        "batch width must match circuit width"
-    );
-    assert_eq!(
-        masks.len(),
-        circuit.len(),
-        "mask schedule does not match this circuit"
-    );
-    let mut lanes: Vec<BitState> = (0..64).map(|l| batch.lane(l)).collect();
+    let words = check_masked(circuit, batch, masks);
+    let mut lanes: Vec<BitState> = (0..batch.lanes()).map(|l| batch.lane(l)).collect();
     let mut report = BatchExecReport {
         fault_events: 0,
-        faulted_lanes: vec![0; 1],
+        faulted_lanes: vec![0; words],
     };
-    for (op, &fault) in circuit.ops().iter().zip(masks) {
-        if fault == 0 {
-            for state in &mut lanes {
-                op.apply(state);
-            }
-            continue;
-        }
-        let mut rand_planes = [0u64; 4];
-        fill_fault_planes(op.arity(), fault, rng, &mut rand_planes);
+    for (op, masks) in circuit.ops().iter().zip(masks.chunks_exact(words)) {
         let support = op.support();
         let wires = support.as_slice();
-        for (lane, state) in lanes.iter_mut().enumerate() {
-            if (fault >> lane) & 1 == 1 {
-                let mut pattern = 0u8;
-                for (k, _) in wires.iter().enumerate() {
-                    pattern |= (((rand_planes[k] >> lane) & 1) as u8) << k;
+        for (word, &fault) in masks.iter().enumerate() {
+            let states = &mut lanes[word * 64..(word + 1) * 64];
+            if fault == 0 {
+                for state in states {
+                    op.apply(state);
                 }
-                state.write_pattern(wires, pattern);
-            } else {
-                op.apply(state);
+                continue;
             }
+            let mut rand_planes = [0u64; 4];
+            fill_fault_planes(op.arity(), fault, rng, &mut rand_planes);
+            for (lane, state) in states.iter_mut().enumerate() {
+                if (fault >> lane) & 1 == 1 {
+                    let mut pattern = 0u8;
+                    for (k, _) in wires.iter().enumerate() {
+                        pattern |= (((rand_planes[k] >> lane) & 1) as u8) << k;
+                    }
+                    state.write_pattern(wires, pattern);
+                } else {
+                    op.apply(state);
+                }
+            }
+            report.fault_events += fault.count_ones() as u64;
+            report.faulted_lanes[word] |= fault;
         }
-        report.fault_events += fault.count_ones() as u64;
-        report.faulted_lanes[0] |= fault;
     }
     for (lane, state) in lanes.iter().enumerate() {
         batch.set_lane(lane, state);
@@ -773,9 +408,9 @@ pub(crate) fn run_masked_word_scalar(
 pub struct Engine {
     circuit: Circuit,
     table: FaultTable,
-    /// Fault-count distribution, built on first stratified use (compiling
-    /// stays a single cheap pass for plain-only consumers).
-    dist: OnceLock<FaultCountDist>,
+    /// Fault source and fault-count distribution, built on the first
+    /// run (compiling stays a single cheap pass).
+    source: OnceLock<FaultSource>,
     /// Micro-op program (linear-segment fusion + wide kernels), built on
     /// first word-loop use — [`Engine::compile`] itself stays a single
     /// cheap pass.
@@ -791,9 +426,9 @@ pub struct Engine {
 
 impl Clone for Engine {
     fn clone(&self) -> Self {
-        let dist = OnceLock::new();
-        if let Some(d) = self.dist.get() {
-            let _ = dist.set(d.clone());
+        let source = OnceLock::new();
+        if let Some(d) = self.source.get() {
+            let _ = source.set(d.clone());
         }
         let compiled = OnceLock::new();
         if let Some(c) = self.compiled.get() {
@@ -806,7 +441,7 @@ impl Clone for Engine {
         Engine {
             circuit: self.circuit.clone(),
             table: self.table.clone(),
-            dist,
+            source,
             compiled,
             tapped,
             plans: Mutex::new(self.plans.lock().map(|g| g.clone()).unwrap_or_default()),
@@ -824,7 +459,7 @@ impl Engine {
         Engine {
             circuit: circuit.clone(),
             table: FaultTable::compile(circuit, noise),
-            dist: OnceLock::new(),
+            source: OnceLock::new(),
             compiled: OnceLock::new(),
             tapped: OnceLock::new(),
             plans: Mutex::new(Vec::new()),
@@ -885,11 +520,10 @@ impl Engine {
         let mut bytes = size_of::<Engine>();
         bytes += std::mem::size_of_val::<[Op]>(self.circuit.ops());
         bytes += self.table.probs.len() * size_of::<f64>();
-        bytes += self.table.sampler_of.len() * size_of::<usize>();
-        bytes += self.table.samplers.len() * 65 * size_of::<f64>();
-        bytes += self.table.sampler_rates.len() * size_of::<f64>();
-        if let Some(dist) = self.dist.get() {
-            bytes += dist.approx_bytes();
+        bytes += self.table.group_of.len() * size_of::<usize>();
+        bytes += self.table.rates.len() * size_of::<f64>();
+        if let Some(source) = self.source.get() {
+            bytes += source.approx_bytes();
         }
         if let Some(ops) = self.compiled.get() {
             bytes += ops.approx_bytes();
@@ -931,9 +565,9 @@ impl Engine {
         self.table.p_fault_free
     }
 
-    /// The lazily built fault-count distribution.
-    pub(crate) fn fault_dist(&self) -> &FaultCountDist {
-        self.dist.get_or_init(|| FaultCountDist::build(&self.table))
+    /// The lazily built fault source (and fault-count distribution).
+    pub(crate) fn fault_source(&self) -> &FaultSource {
+        self.source.get_or_init(|| FaultSource::build(&self.table))
     }
 
     /// The PMF of the per-trial fault count `K` — a Poisson binomial over
@@ -942,12 +576,12 @@ impl Engine {
     /// mass drops below ~10⁻¹²). These are the stratified estimator's
     /// stratum weights.
     pub fn fault_count_pmf(&self) -> &[f64] {
-        self.fault_dist().pmf()
+        self.fault_source().pmf()
     }
 
     /// `P(K ≥ k)` under the compiled fault-count distribution.
     pub fn fault_count_at_least(&self, k: u32) -> f64 {
-        self.fault_dist().mass_at_least(k as usize)
+        self.fault_source().mass_at_least(k as usize)
     }
 
     /// Binds Monte-Carlo options, producing the run-many [`Simulation`]
@@ -987,7 +621,10 @@ impl Engine {
     }
 
     /// Runs the compiled circuit over every lane of `batch` on the
-    /// bit-parallel backend.
+    /// bit-parallel backend: one plain fault schedule per plane word is
+    /// drawn from `rng` (word by word, see [`Engine::sample_faults`]),
+    /// then the op-at-a-time kernels execute it, drawing each faulted
+    /// op's random planes from `rng` in op order.
     ///
     /// # Panics
     ///
@@ -997,20 +634,52 @@ impl Engine {
         batch: &mut BatchState,
         rng: &mut R,
     ) -> BatchExecReport {
-        run_batch_words(&self.circuit, &self.table, batch, rng)
+        run_sampled(self, batch, rng, false)
+    }
+
+    /// Draws one word's plain fault schedule from `rng` into `masks`
+    /// (`masks[i]` = lanes in which op `i` faults; every `(op, lane)`
+    /// faults independently at the op's rate) and returns the number of
+    /// 64-bit RNG words drawn. This is the schedule every sampled run and
+    /// the plain estimator execute; the draw costs O(faults), not O(ops).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks.len() != n_ops`.
+    pub fn sample_faults<R: RngCore + ?Sized>(&self, rng: &mut R, masks: &mut [u64]) -> u64 {
+        assert_eq!(masks.len(), self.n_ops(), "one mask per op");
+        masks.fill(0);
+        self.fault_source().plain(rng, masks, 1, 0)
+    }
+
+    /// [`Engine::sample_faults`] conditioned on every lane carrying
+    /// exactly `faults` faults (at most one per fallible op) — the
+    /// schedule of a stratified word in the stratum `K = faults`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks.len() != n_ops`.
+    pub fn sample_faults_exactly<R: RngCore + ?Sized>(
+        &self,
+        faults: usize,
+        rng: &mut R,
+        masks: &mut [u64],
+    ) -> u64 {
+        assert_eq!(masks.len(), self.n_ops(), "one mask per op");
+        masks.fill(0);
+        self.fault_source()
+            .conditioned(LaneFaults::Exactly(faults), rng, masks, 1, 0)
     }
 
     /// Runs the **compiled micro-op program** (linear-segment fusion +
     /// wide kernels) over a `W`-word wide batch, where `W =
     /// batch.words_per_wire() = rngs.len() ∈ {1, 2, 4}` and logical word
-    /// `w` draws all of its randomness from `rngs[w]`.
-    ///
-    /// Per logical word the RNG stream is identical to [`Engine::run_batch`]
-    /// on a single-word batch — one fault-mask draw per fallible op, then
-    /// one random plane per support wire of faulting ops — so lanes are
-    /// bit-identical to `W` independent raw runs at the same seeds. This
-    /// is the word loop behind [`Engine::estimate`] on the batch backend;
-    /// it is public so benches can compare it against the raw path.
+    /// `w` draws all of its randomness from `rngs[w]`: its plain fault
+    /// schedule ([`Engine::sample_faults`]), then its fault planes in op
+    /// order. Lanes are therefore bit-identical to `W` independent
+    /// [`Engine::run_batch`] runs at the same seeds. This is the sampled
+    /// pass of the plain estimator's word loop, public so benches can
+    /// time it.
     ///
     /// # Panics
     ///
@@ -1021,45 +690,20 @@ impl Engine {
         batch: &mut BatchState,
         rngs: &mut [SmallRng],
     ) -> BatchExecReport {
-        assert_eq!(
-            batch.n_wires(),
-            self.circuit.n_wires(),
-            "batch width must match circuit width"
-        );
-        assert_eq!(
-            batch.words_per_wire(),
-            rngs.len(),
-            "need exactly one RNG per logical word"
-        );
-        let compiled = self.compiled();
-        let mut scratch = ExecScratch::default();
-        fn go<const W: usize>(
-            compiled: &CompiledOps,
-            table: &FaultTable,
-            batch: &mut BatchState,
-            rngs: &mut [SmallRng],
-            scratch: &mut ExecScratch,
-        ) -> BatchExecReport {
-            let rngs: &mut [SmallRng; W] = rngs.try_into().expect("len checked");
-            let out =
-                microop::run_sampled_wide::<W, ()>(compiled, table, batch, rngs, scratch, &mut ());
-            BatchExecReport {
-                fault_events: out.fault_events,
-                faulted_lanes: out.faulted.to_vec(),
-            }
+        let w = batch.words_per_wire();
+        assert_eq!(w, rngs.len(), "need exactly one RNG per logical word");
+        let mut masks = vec![0u64; self.n_ops() * w];
+        let source = self.fault_source();
+        for (slot, rng) in rngs.iter_mut().enumerate() {
+            source.plain(rng, &mut masks, w, slot);
         }
-        match rngs.len() {
-            1 => go::<1>(compiled, &self.table, batch, rngs, &mut scratch),
-            2 => go::<2>(compiled, &self.table, batch, rngs, &mut scratch),
-            4 => go::<4>(compiled, &self.table, batch, rngs, &mut scratch),
-            w => panic!("unsupported word width {w} (expected 1, 2 or 4)"),
-        }
+        self.run_batch_masked(batch, &masks, rngs)
     }
 
     /// Runs one `W`-wide word under a **precomputed** fault-mask
-    /// schedule through the compiled micro-op program — the stratified
-    /// rare-event estimator's execution path, public so benches can
-    /// measure it against [`Engine::run_batch_masked_raw`].
+    /// schedule through the compiled micro-op program — the word loop of
+    /// both estimators, public so benches can measure it against
+    /// [`Engine::run_batch_masked_raw`].
     ///
     /// `masks` uses the flat wide layout `masks[i * W + w]` = lanes in
     /// which op `i` faults in logical word `w` (for `W = 1` this is the
@@ -1078,18 +722,8 @@ impl Engine {
         masks: &[u64],
         rngs: &mut [SmallRng],
     ) -> BatchExecReport {
-        assert_eq!(
-            batch.n_wires(),
-            self.circuit.n_wires(),
-            "batch width must match circuit width"
-        );
-        let w = batch.words_per_wire();
+        let w = check_masked(&self.circuit, batch, masks);
         assert_eq!(w, rngs.len(), "need exactly one RNG per logical word");
-        assert_eq!(
-            masks.len(),
-            self.circuit.len() * w,
-            "mask schedule does not match this circuit (expected n_ops × width)"
-        );
         let compiled = self.compiled();
         let mut scratch = ExecScratch::default();
         fn go<const W: usize>(
@@ -1100,7 +734,8 @@ impl Engine {
             scratch: &mut ExecScratch,
         ) -> BatchExecReport {
             let rngs: &mut [SmallRng; W] = rngs.try_into().expect("len checked");
-            let out = microop::run_masked_wide::<W>(compiled, batch, masks, rngs, scratch);
+            let out =
+                microop::run_masked_wide::<W, ()>(compiled, batch, masks, rngs, scratch, &mut ());
             BatchExecReport {
                 fault_events: out.fault_events,
                 faulted_lanes: out.faulted.to_vec(),
@@ -1114,9 +749,9 @@ impl Engine {
         }
     }
 
-    /// The retired op-at-a-time masked word loop, kept as the raw
-    /// reference the compiled path is benchmarked and property-tested
-    /// against (`fused_vs_raw`); not part of any estimator path.
+    /// The op-at-a-time masked word loop, kept as the raw reference the
+    /// compiled path is benchmarked and property-tested against
+    /// (`fused_vs_raw`); not part of any estimator path.
     ///
     /// # Panics
     ///
@@ -1128,9 +763,8 @@ impl Engine {
         masks: &[u64],
         rng: &mut SmallRng,
     ) -> BatchExecReport {
-        run_masked_word_batch(&self.circuit, batch, masks, rng)
+        run_masked_raw(&self.circuit, batch, masks, rng)
     }
-
     /// Runs the compiled circuit injecting exactly the faults in `plan`
     /// (the noise binding is ignored; see [`PlannedFaultBackend`]).
     ///
@@ -1216,7 +850,7 @@ impl Engine {
                 let mass = match m {
                     0 => 1.0,
                     1 => 1.0 - self.fault_free_probability(),
-                    _ => self.fault_dist().mass_at_least(m as usize),
+                    _ => self.fault_source().mass_at_least(m as usize),
                 };
                 Estimator::Auto.resolve(mass, m)
             }
@@ -1319,13 +953,14 @@ impl Engine {
         let mut extras = WordExtras::default();
         let mut early_stopped = false;
         while done < total_words {
-            let n = round_words.min(total_words - done);
-            let (f, e, x) =
-                self.run_word_span(backend, trial, opts, done, done + n, threads, obs, tap);
-            failures += f;
-            executed += e;
+            let words = round_words.min(total_words - done);
+            let schedules = Schedules::Plain { words };
+            let (tallies, x) =
+                self.run_word_span(backend, trial, opts, done, schedules, threads, obs, tap);
+            failures += tallies[0].0;
+            executed += tallies[0].1;
             extras.merge(x);
-            done += n;
+            done += words;
             if done >= total_words {
                 break;
             }
@@ -1351,9 +986,10 @@ impl Engine {
         outcome
     }
 
-    /// Runs words `[start, end)` split contiguously across `threads`,
-    /// returning `(failures, executed_trials, extras)`. Each worker opens
-    /// an `engine.words` span on its own thread so the trace attributes
+    /// Runs the words `start ..` covered by `schedules`, split
+    /// contiguously across `threads`, returning per-slot `(failures,
+    /// executed_trials)` tallies and the extras. Each worker opens an
+    /// `engine.words` span on its own thread so the trace attributes
     /// word-loop time to the thread that spent it; the split itself never
     /// consults the collector. Each worker taps into its own fork of
     /// `tap`, folded back in worker order.
@@ -1364,30 +1000,31 @@ impl Engine {
         trial: &T,
         opts: &McOptions,
         start: u64,
-        end: u64,
+        schedules: Schedules<'_>,
         threads: usize,
         obs: &Collector,
         tap: &mut K,
-    ) -> (u64, u64, WordExtras) {
-        let span = end - start;
+    ) -> (Vec<(u64, u64)>, WordExtras) {
+        let span = schedules.len();
         if threads <= 1 || span <= 1 {
             let _s = obs.span("engine.words");
-            return self.run_word_range(backend, trial, opts, start, end, tap);
+            return self.run_word_range(backend, trial, opts, start, schedules, tap);
         }
         let threads = (threads as u64).min(span);
         let per = span / threads;
         let extra = span % threads;
         let results: Vec<_> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            let mut first = start;
+            let mut first = 0u64;
             for t in 0..threads {
                 let n = per + u64::from(t < extra);
                 let lo = first;
                 first += n;
+                let part = schedules.sub(lo, lo + n);
                 let mut fork = tap.fork();
                 handles.push(scope.spawn(move || {
                     let _s = obs.span("engine.words");
-                    let r = self.run_word_range(backend, trial, opts, lo, lo + n, &mut fork);
+                    let r = self.run_word_range(backend, trial, opts, start + lo, part, &mut fork);
                     (r, fork)
                 }));
             }
@@ -1396,134 +1033,118 @@ impl Engine {
                 .map(|h| h.join().expect("trial thread panicked"))
                 .collect()
         });
-        let mut total = (0, 0, WordExtras::default());
-        for ((f, e, x), fork) in results {
-            total.0 += f;
-            total.1 += e;
-            total.2.merge(x);
+        let mut tallies = vec![(0u64, 0u64); schedules.slots()];
+        let mut extras = WordExtras::default();
+        for ((part, x), fork) in results {
+            add_tallies(&mut tallies, &part);
+            extras.merge(x);
             tap.merge(fork);
         }
-        total
+        (tallies, extras)
     }
 
-    /// Runs words `[start, end)` sequentially, dispatching to the legacy
-    /// scalar reference loop or the compiled wide word loop (the only
-    /// loop that runs a tap).
+    /// Runs the words `start ..` covered by `schedules` sequentially, at
+    /// the width of the execution path.
     fn run_word_range<T: WordTrial + ?Sized, K: InitTap>(
         &self,
         backend: ExecPath,
         trial: &T,
         opts: &McOptions,
         start: u64,
-        end: u64,
+        schedules: Schedules<'_>,
         tap: &mut K,
-    ) -> (u64, u64, WordExtras) {
+    ) -> (Vec<(u64, u64)>, WordExtras) {
         match backend {
-            ExecPath::Scalar => {
-                debug_assert!(!K::SPLIT_INITS, "taps run on the compiled loop only");
-                self.run_word_range_scalar(trial, opts, start, end)
-            }
             ExecPath::Batch { width: 2 } => {
-                self.run_word_range_wide::<T, K, 2>(trial, opts, start, end, tap)
+                self.run_words::<T, K, 2>(backend, trial, opts, start, schedules, tap)
             }
             ExecPath::Batch { width: 4 } => {
-                self.run_word_range_wide::<T, K, 4>(trial, opts, start, end, tap)
+                self.run_words::<T, K, 4>(backend, trial, opts, start, schedules, tap)
             }
-            ExecPath::Batch { .. } => {
-                self.run_word_range_wide::<T, K, 1>(trial, opts, start, end, tap)
-            }
+            _ => self.run_words::<T, K, 1>(backend, trial, opts, start, schedules, tap),
         }
     }
 
-    /// The scalar reference word loop (one [`BitState`] per lane).
-    fn run_word_range_scalar<T: WordTrial + ?Sized>(
+    /// The word loop of every estimator, `W` logical words per batch.
+    /// Each word's RNG stream, seeded from `(opts.seed, word index)`,
+    /// prepares the word's inputs, draws its fault schedule from the
+    /// fault source, then the fault planes of the masked run: on the
+    /// compiled micro-op program, or on the scalar path (`W = 1`) on the
+    /// per-lane reference. A word's stream and lanes are therefore the
+    /// same at any width, thread count and path.
+    fn run_words<T: WordTrial + ?Sized, K: InitTap, const W: usize>(
         &self,
+        backend: ExecPath,
         trial: &T,
         opts: &McOptions,
         start: u64,
-        end: u64,
-    ) -> (u64, u64, WordExtras) {
-        let n_wires = self.circuit.n_wires();
-        let mut batch = BatchState::zeros(n_wires, 1);
-        let mut inputs: Vec<u64> = Vec::new();
-        // Fault-free lanes of an elision-eligible trial can never fail:
-        // judging then only needs to decode the faulted lanes.
-        let judge_faulted_only = !trial.fault_free_can_fail();
-        let mut failures = 0u64;
-        let mut executed = 0u64;
-        let mut extras = WordExtras::default();
-        for word in start..end {
-            let mut rng =
-                SmallRng::seed_from_u64(opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + 1));
-            batch.clear();
-            trial.prepare_into(&mut batch, &mut rng, &mut inputs);
-            let report = ScalarBackend.run(self, &mut batch, &mut rng);
-            let valid = valid_lanes(opts.trials, word);
-            extras.fault_events += report.fault_events;
-            extras.faulted_lanes += (report.faulted_lanes[0] & valid).count_ones() as u64;
-            let candidates = if judge_faulted_only {
-                report.faulted_lanes[0] & valid
-            } else {
-                valid
-            };
-            failures += trial.judge_masked(&batch, &inputs, candidates).count_ones() as u64;
-            executed += valid.count_ones() as u64;
-        }
-        (failures, executed, extras)
-    }
-
-    /// The compiled word loop: `W` logical words per iteration through
-    /// the fused micro-op program, each word on its own seed-derived RNG
-    /// stream (so results are bit-identical to the `W = 1` loop and to
-    /// the scalar reference, at any width and thread count).
-    fn run_word_range_wide<T: WordTrial + ?Sized, K: InitTap, const W: usize>(
-        &self,
-        trial: &T,
-        opts: &McOptions,
-        start: u64,
-        end: u64,
+        schedules: Schedules<'_>,
         tap: &mut K,
-    ) -> (u64, u64, WordExtras) {
-        let compiled = self.program::<K>();
+    ) -> (Vec<(u64, u64)>, WordExtras) {
+        let scalar = backend == ExecPath::Scalar;
+        debug_assert!(!scalar || (W == 1 && !K::SPLIT_INITS));
+        let program = (!scalar).then(|| self.program::<K>());
+        let source = self.fault_source();
         let n_wires = self.circuit.n_wires();
         let mut wide = BatchState::zeros(n_wires, W);
         let mut col = BatchState::zeros(n_wires, 1);
         let mut inputs: [Vec<u64>; W] = std::array::from_fn(|_| Vec::new());
+        // Flat wide mask layout: masks[op * W + w].
+        let mut masks = vec![0u64; self.circuit.len() * W];
         let mut scratch = ExecScratch::default();
+        // Fault-free lanes of an elision-eligible trial can never fail:
+        // judging then only needs to decode the faulted lanes.
         let judge_faulted_only = !trial.fault_free_can_fail();
-        let mut failures = 0u64;
-        let mut executed = 0u64;
+        let mut tallies = vec![(0u64, 0u64); schedules.slots()];
         let mut extras = WordExtras::default();
-        let mut word = start;
-        while word < end {
-            if (end - word) < W as u64 {
+        let n = schedules.len();
+        let mut i = 0u64;
+        while i < n {
+            if n - i < W as u64 {
                 // Remainder words run at width 1 — bit-identical, since
                 // every word owns its RNG stream regardless of grouping.
-                let (f, e, x) = self.run_word_range_wide::<T, K, 1>(trial, opts, word, end, tap);
+                let rest = schedules.sub(i, n);
+                let (part, x) =
+                    self.run_words::<T, K, 1>(backend, trial, opts, start + i, rest, tap);
+                add_tallies(&mut tallies, &part);
                 extras.merge(x);
-                return (failures + f, executed + e, extras);
+                break;
             }
+            let word = start + i;
             let mut rngs: [SmallRng; W] = std::array::from_fn(|k| {
                 SmallRng::seed_from_u64(
                     opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + k as u64 + 1),
                 )
             });
-            for k in 0..W {
+            masks.fill(0);
+            for (k, rng) in rngs.iter_mut().enumerate() {
                 col.clear();
-                trial.prepare_into(&mut col, &mut rngs[k], &mut inputs[k]);
+                trial.prepare_into(&mut col, rng, &mut inputs[k]);
                 wide.load_column(k, &col);
+                extras.mask_draws += schedules.draw(source, i + k as u64, rng, &mut masks, W, k);
             }
             let valid: [u64; W] =
                 std::array::from_fn(|k| valid_lanes(opts.trials, word + k as u64));
             tap.start(&valid);
-            let outcome = microop::run_sampled_wide::<W, K>(
-                compiled,
-                &self.table,
-                &mut wide,
-                &mut rngs,
-                &mut scratch,
-                tap,
-            );
+            let outcome = match program {
+                Some(program) => microop::run_masked_wide::<W, K>(
+                    program,
+                    &mut wide,
+                    &masks,
+                    &mut rngs,
+                    &mut scratch,
+                    tap,
+                ),
+                None => {
+                    let report = run_masked_scalar(&self.circuit, &mut wide, &masks, &mut rngs[0]);
+                    WideOutcome {
+                        faulted: std::array::from_fn(|k| report.faulted_lanes[k]),
+                        fault_events: report.fault_events,
+                        fused_segments: 0,
+                        replayed_segments: 0,
+                    }
+                }
+            };
             extras.fault_events += outcome.fault_events;
             extras.fused_segments += outcome.fused_segments;
             extras.replayed_segments += outcome.replayed_segments;
@@ -1535,19 +1156,19 @@ impl Engine {
                 } else {
                     valid
                 };
+                let tally = &mut tallies[schedules.slot(i + k as u64)];
                 if candidates != 0 {
                     wide.store_column(k, &mut col);
-                    failures += trial
+                    tally.0 += trial
                         .judge_masked(&col, word_inputs, candidates)
                         .count_ones() as u64;
                 }
-                executed += valid.count_ones() as u64;
+                tally.1 += valid.count_ones() as u64;
             }
-            word += W as u64;
+            i += W as u64;
         }
-        (failures, executed, extras)
+        (tallies, extras)
     }
-
     /// The fault-count-stratified rare-event estimator (see the module
     /// docs for the derivation). Words are generated *conditioned on their
     /// stratum's fault count*; strata below `min_faults` contribute
@@ -1587,9 +1208,6 @@ impl Engine {
             flush_run(obs, &outcome, &WordExtras::default());
             return outcome;
         }
-        let tail_cdf = &plan.tail_cdf;
-        let tail_lo = plan.tail_lo;
-
         let threads = opts.threads.max(1);
         let total_words = opts.trials.div_ceil(64);
         let mut next_word = 0u64;
@@ -1640,17 +1258,19 @@ impl Engine {
                 }
                 assignment.extend(std::iter::repeat_n(si as u32, n as usize));
             }
-            let (tallies, round_extras) = self.run_stratified_span(
+            let schedules = Schedules::Strata {
+                plan: &plan,
+                assignment: &assignment,
+            };
+            let (tallies, round_extras) = self.run_word_span(
                 backend,
                 trial,
                 opts,
-                &strata,
-                tail_cdf,
-                tail_lo,
                 next_word,
-                &assignment,
+                schedules,
                 threads,
                 obs,
+                &mut (),
             );
             extras.merge(round_extras);
             extras.masked_words += round;
@@ -1686,286 +1306,6 @@ impl Engine {
         outcome
     }
 
-    /// Runs one stratified round: `assignment[i]` names the stratum of
-    /// global word `base_word + i`; the slice is split contiguously across
-    /// `threads`. Returns per-stratum `(failures, trials)`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stratified_span<T: WordTrial + ?Sized>(
-        &self,
-        backend: ExecPath,
-        trial: &T,
-        opts: &McOptions,
-        strata: &[StratumOutcome],
-        tail_cdf: &[f64],
-        tail_lo: usize,
-        base_word: u64,
-        assignment: &[u32],
-        threads: usize,
-        obs: &Collector,
-    ) -> (Vec<(u64, u64)>, WordExtras) {
-        let span = assignment.len();
-        if threads <= 1 || span <= 1 {
-            let _s = obs.span("engine.words");
-            return self.run_stratified_range(
-                backend, trial, opts, strata, tail_cdf, tail_lo, base_word, assignment,
-            );
-        }
-        let threads = threads.min(span);
-        let per = span / threads;
-        let extra = span % threads;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut first = 0usize;
-            for t in 0..threads {
-                let n = per + usize::from(t < extra);
-                let lo = first;
-                first += n;
-                let slice = &assignment[lo..lo + n];
-                handles.push(scope.spawn(move || {
-                    let _s = obs.span("engine.words");
-                    self.run_stratified_range(
-                        backend,
-                        trial,
-                        opts,
-                        strata,
-                        tail_cdf,
-                        tail_lo,
-                        base_word + lo as u64,
-                        slice,
-                    )
-                }));
-            }
-            handles.into_iter().fold(
-                (vec![(0u64, 0u64); strata.len()], WordExtras::default()),
-                |(mut acc, mut x), h| {
-                    let (part, px) = h.join().expect("trial thread panicked");
-                    for (a, p) in acc.iter_mut().zip(&part) {
-                        a.0 += p.0;
-                        a.1 += p.1;
-                    }
-                    x.merge(px);
-                    (acc, x)
-                },
-            )
-        })
-    }
-
-    /// Sequential stratified word loop with per-thread scratch buffers,
-    /// dispatched by execution path.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stratified_range<T: WordTrial + ?Sized>(
-        &self,
-        backend: ExecPath,
-        trial: &T,
-        opts: &McOptions,
-        strata: &[StratumOutcome],
-        tail_cdf: &[f64],
-        tail_lo: usize,
-        base_word: u64,
-        assignment: &[u32],
-    ) -> (Vec<(u64, u64)>, WordExtras) {
-        match backend {
-            ExecPath::Scalar => self.run_stratified_range_scalar(
-                trial, opts, strata, tail_cdf, tail_lo, base_word, assignment,
-            ),
-            ExecPath::Batch { width: 2 } => self.run_stratified_range_wide::<T, 2>(
-                trial, opts, strata, tail_cdf, tail_lo, base_word, assignment,
-            ),
-            ExecPath::Batch { width: 4 } => self.run_stratified_range_wide::<T, 4>(
-                trial, opts, strata, tail_cdf, tail_lo, base_word, assignment,
-            ),
-            ExecPath::Batch { .. } => self.run_stratified_range_wide::<T, 1>(
-                trial, opts, strata, tail_cdf, tail_lo, base_word, assignment,
-            ),
-        }
-    }
-
-    /// Scalar reference stratified loop (per-lane replay of the shared
-    /// conditional mask schedule).
-    #[allow(clippy::too_many_arguments)]
-    fn run_stratified_range_scalar<T: WordTrial + ?Sized>(
-        &self,
-        trial: &T,
-        opts: &McOptions,
-        strata: &[StratumOutcome],
-        tail_cdf: &[f64],
-        tail_lo: usize,
-        base_word: u64,
-        assignment: &[u32],
-    ) -> (Vec<(u64, u64)>, WordExtras) {
-        let dist = self.fault_dist();
-        let n_wires = self.circuit.n_wires();
-        let mut batch = BatchState::zeros(n_wires, 1);
-        let mut inputs: Vec<u64> = Vec::new();
-        let mut masks: Vec<u64> = vec![0; self.circuit.len()];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut chosen: Vec<u32> = Vec::new();
-        let mut scratch: Vec<usize> = Vec::new();
-        let mut tallies = vec![(0u64, 0u64); strata.len()];
-        let mut extras = WordExtras::default();
-        for (i, &si) in assignment.iter().enumerate() {
-            let word = base_word + i as u64;
-            let mut rng =
-                SmallRng::seed_from_u64(opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + 1));
-            batch.clear();
-            trial.prepare_into(&mut batch, &mut rng, &mut inputs);
-            // Conditional mask schedule: per lane, draw the fault count
-            // (fixed for explicit strata, CDF draw in the tail) and place
-            // the faults via the exact conditional distribution.
-            for &t in &touched {
-                masks[t as usize] = 0;
-            }
-            touched.clear();
-            let stratum = &strata[si as usize];
-            for lane in 0..64u32 {
-                let k = match stratum.k_hi {
-                    Some(k) => k as usize,
-                    None => {
-                        let total = tail_cdf.last().copied().unwrap_or(0.0);
-                        let u = rng.random::<f64>() * total;
-                        let pos = tail_cdf.partition_point(|&c| c <= u);
-                        tail_lo + pos.min(tail_cdf.len() - 1)
-                    }
-                };
-                dist.sample_exact(k, &mut rng, &mut chosen, &mut scratch);
-                for &op in &chosen {
-                    if masks[op as usize] == 0 {
-                        touched.push(op);
-                    }
-                    masks[op as usize] |= 1u64 << lane;
-                }
-            }
-            let report = ScalarBackend.run_masked(self, &mut batch, &masks, &mut rng);
-            let valid = valid_lanes(opts.trials, word);
-            extras.fault_events += report.fault_events;
-            extras.faulted_lanes += (report.faulted_lanes[0] & valid).count_ones() as u64;
-            // With `min_faults = 0` on an elision-ineligible trial, clean
-            // lanes can still fail and must be judged.
-            let candidates = if trial.fault_free_can_fail() {
-                valid
-            } else {
-                report.faulted_lanes[0] & valid
-            };
-            let failed = trial.judge_masked(&batch, &inputs, candidates);
-            tallies[si as usize].0 += failed.count_ones() as u64;
-            tallies[si as usize].1 += valid.count_ones() as u64;
-        }
-        (tallies, extras)
-    }
-
-    /// Compiled stratified word loop: `W` conditioned logical words per
-    /// iteration through the fused micro-op program. Per word, the RNG
-    /// stream (prepare → conditional count/placement draws → fault
-    /// planes in op order) matches the scalar reference exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stratified_range_wide<T: WordTrial + ?Sized, const W: usize>(
-        &self,
-        trial: &T,
-        opts: &McOptions,
-        strata: &[StratumOutcome],
-        tail_cdf: &[f64],
-        tail_lo: usize,
-        base_word: u64,
-        assignment: &[u32],
-    ) -> (Vec<(u64, u64)>, WordExtras) {
-        let compiled = self.compiled();
-        let dist = self.fault_dist();
-        let n_ops = self.circuit.len();
-        let n_wires = self.circuit.n_wires();
-        let mut wide = BatchState::zeros(n_wires, W);
-        let mut col = BatchState::zeros(n_wires, 1);
-        let mut inputs: [Vec<u64>; W] = std::array::from_fn(|_| Vec::new());
-        // Flat wide mask layout: masks[op * W + w].
-        let mut masks: Vec<u64> = vec![0u64; n_ops * W];
-        let mut touched: [Vec<u32>; W] = std::array::from_fn(|_| Vec::new());
-        let mut scratch = ExecScratch::default();
-        let mut chosen: Vec<u32> = Vec::new();
-        let mut place_scratch: Vec<usize> = Vec::new();
-        let mut tallies = vec![(0u64, 0u64); strata.len()];
-        let mut extras = WordExtras::default();
-        let mut i = 0usize;
-        while i < assignment.len() {
-            if assignment.len() - i < W {
-                // Remainder words at width 1 (bit-identical per word).
-                let (rest, rest_extras) = self.run_stratified_range_wide::<T, 1>(
-                    trial,
-                    opts,
-                    strata,
-                    tail_cdf,
-                    tail_lo,
-                    base_word + i as u64,
-                    &assignment[i..],
-                );
-                for (t, r) in tallies.iter_mut().zip(&rest) {
-                    t.0 += r.0;
-                    t.1 += r.1;
-                }
-                extras.merge(rest_extras);
-                return (tallies, extras);
-            }
-            let mut rngs: [SmallRng; W] = std::array::from_fn(|k| {
-                SmallRng::seed_from_u64(
-                    opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(base_word + (i + k) as u64 + 1),
-                )
-            });
-            for k in 0..W {
-                col.clear();
-                trial.prepare_into(&mut col, &mut rngs[k], &mut inputs[k]);
-                wide.load_column(k, &col);
-                // Conditional mask schedule for this word's stratum.
-                for &t in &touched[k] {
-                    masks[t as usize * W + k] = 0;
-                }
-                touched[k].clear();
-                let stratum = &strata[assignment[i + k] as usize];
-                for lane in 0..64u32 {
-                    let count = match stratum.k_hi {
-                        Some(kk) => kk as usize,
-                        None => {
-                            let total = tail_cdf.last().copied().unwrap_or(0.0);
-                            let u = rngs[k].random::<f64>() * total;
-                            let pos = tail_cdf.partition_point(|&c| c <= u);
-                            tail_lo + pos.min(tail_cdf.len() - 1)
-                        }
-                    };
-                    dist.sample_exact(count, &mut rngs[k], &mut chosen, &mut place_scratch);
-                    for &op in &chosen {
-                        let slot = op as usize * W + k;
-                        if masks[slot] == 0 {
-                            touched[k].push(op);
-                        }
-                        masks[slot] |= 1u64 << lane;
-                    }
-                }
-            }
-            let outcome =
-                microop::run_masked_wide::<W>(compiled, &mut wide, &masks, &mut rngs, &mut scratch);
-            extras.fault_events += outcome.fault_events;
-            extras.fused_segments += outcome.fused_segments;
-            extras.replayed_segments += outcome.replayed_segments;
-            for k in 0..W {
-                let word = base_word + (i + k) as u64;
-                let valid = valid_lanes(opts.trials, word);
-                extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
-                let candidates = if trial.fault_free_can_fail() {
-                    valid
-                } else {
-                    outcome.faulted[k] & valid
-                };
-                let si = assignment[i + k] as usize;
-                if candidates != 0 {
-                    wide.store_column(k, &mut col);
-                    tallies[si].0 += trial
-                        .judge_masked(&col, &inputs[k], candidates)
-                        .count_ones() as u64;
-                }
-                tallies[si].1 += valid.count_ones() as u64;
-            }
-            i += W;
-        }
-        (tallies, extras)
-    }
-
     /// The memoized stratified-estimator layout for
     /// `(min_faults, strata_cap)`: stratum template (weights off the
     /// Poisson-binomial PMF) plus the tail stratum's conditional CDF.
@@ -1979,7 +1319,7 @@ impl Engine {
         }
         let cap = strata_cap.max(1) as usize;
         let min = min_faults as usize;
-        let dist = self.fault_dist();
+        let dist = self.fault_source();
         let strata: Vec<StratumOutcome> = (0..cap)
             .map(|i| {
                 let k = min + i;
@@ -2046,6 +1386,90 @@ struct StrataPlan {
     tail_lo: usize,
 }
 
+/// Where the fault schedules of a contiguous word range come from.
+#[derive(Debug, Clone, Copy)]
+enum Schedules<'a> {
+    /// `words` unconditioned words, tallied in one slot.
+    Plain { words: u64 },
+    /// One word per entry of `assignment`, conditioned on the fault count
+    /// of stratum `assignment[i]` of `plan` and tallied per stratum.
+    Strata {
+        plan: &'a StrataPlan,
+        assignment: &'a [u32],
+    },
+}
+
+impl Schedules<'_> {
+    /// Words in the range.
+    fn len(&self) -> u64 {
+        match self {
+            Schedules::Plain { words } => *words,
+            Schedules::Strata { assignment, .. } => assignment.len() as u64,
+        }
+    }
+
+    /// Tally slots: one per stratum, or one.
+    fn slots(&self) -> usize {
+        match self {
+            Schedules::Plain { .. } => 1,
+            Schedules::Strata { plan, .. } => plan.strata.len(),
+        }
+    }
+
+    /// The tally slot of word `i` of the range.
+    fn slot(&self, i: u64) -> usize {
+        match self {
+            Schedules::Plain { .. } => 0,
+            Schedules::Strata { assignment, .. } => assignment[i as usize] as usize,
+        }
+    }
+
+    /// Words `[lo, hi)` of the range.
+    fn sub(&self, lo: u64, hi: u64) -> Self {
+        match *self {
+            Schedules::Plain { .. } => Schedules::Plain { words: hi - lo },
+            Schedules::Strata { plan, assignment } => Schedules::Strata {
+                plan,
+                assignment: &assignment[lo as usize..hi as usize],
+            },
+        }
+    }
+
+    /// Draws word `i`'s schedule into slot `slot` of the flat wide
+    /// `masks` (`stride` words wide); returns the RNG words drawn.
+    fn draw(
+        &self,
+        source: &FaultSource,
+        i: u64,
+        rng: &mut SmallRng,
+        masks: &mut [u64],
+        stride: usize,
+        slot: usize,
+    ) -> u64 {
+        match self {
+            Schedules::Plain { .. } => source.plain(rng, masks, stride, slot),
+            Schedules::Strata { plan, assignment } => {
+                let faults = match plan.strata[assignment[i as usize] as usize].k_hi {
+                    Some(k) => LaneFaults::Exactly(k as usize),
+                    None => LaneFaults::Tail {
+                        lo: plan.tail_lo,
+                        cdf: &plan.tail_cdf,
+                    },
+                };
+                source.conditioned(faults, rng, masks, stride, slot)
+            }
+        }
+    }
+}
+
+/// Adds per-slot `(failures, trials)` tallies.
+fn add_tallies(into: &mut [(u64, u64)], part: &[(u64, u64)]) {
+    for (a, p) in into.iter_mut().zip(part) {
+        a.0 += p.0;
+        a.1 += p.1;
+    }
+}
+
 /// Plain-integer tallies gathered inside the word loops and flushed to
 /// the [`Collector`] exactly once per estimate — the hot loops never
 /// touch an atomic, so fully-enabled instrumentation costs a handful of
@@ -2062,6 +1486,8 @@ struct WordExtras {
     replayed_segments: u64,
     /// Words executed under a conditional (stratified) mask schedule.
     masked_words: u64,
+    /// RNG words drawn for fault schedules.
+    mask_draws: u64,
 }
 
 impl WordExtras {
@@ -2071,6 +1497,7 @@ impl WordExtras {
         self.fused_segments += o.fused_segments;
         self.replayed_segments += o.replayed_segments;
         self.masked_words += o.masked_words;
+        self.mask_draws += o.mask_draws;
     }
 }
 
@@ -2087,6 +1514,7 @@ fn flush_run(obs: &Collector, outcome: &McOutcome, extras: &WordExtras) {
     obs.add(Metric::FusedSegments, extras.fused_segments);
     obs.add(Metric::ReplayedSegments, extras.replayed_segments);
     obs.add(Metric::MaskedWords, extras.masked_words);
+    obs.add(Metric::MaskDraws, extras.mask_draws);
 }
 
 /// Lanes of global word `word` that lie inside the trial budget (the
@@ -2305,60 +1733,7 @@ impl Backend for ScalarBackend {
         batch: &mut BatchState,
         rng: &mut dyn RngCore,
     ) -> BatchExecReport {
-        let circuit = &engine.circuit;
-        assert_eq!(
-            batch.n_wires(),
-            circuit.n_wires(),
-            "batch width must match circuit width"
-        );
-        let words = batch.words_per_wire();
-        let mut lanes: Vec<BitState> = (0..batch.lanes()).map(|l| batch.lane(l)).collect();
-        let mut report = BatchExecReport {
-            fault_events: 0,
-            faulted_lanes: vec![0; words],
-        };
-        for (i, op) in circuit.ops().iter().enumerate() {
-            let sampler_idx = engine.table.sampler_of[i];
-            if sampler_idx == NEVER {
-                for state in &mut lanes {
-                    op.apply(state);
-                }
-                continue;
-            }
-            let sampler = &engine.table.samplers[sampler_idx];
-            let support = op.support();
-            let wires = support.as_slice();
-            for word in 0..words {
-                let fault = sampler.sample(rng);
-                if fault == 0 {
-                    for state in &mut lanes[word * 64..(word + 1) * 64] {
-                        op.apply(state);
-                    }
-                    continue;
-                }
-                let mut rand_planes = [0u64; 4];
-                for plane in rand_planes.iter_mut().take(op.arity()) {
-                    *plane = rng.random::<u64>();
-                }
-                for (lane, state) in lanes[word * 64..(word + 1) * 64].iter_mut().enumerate() {
-                    if (fault >> lane) & 1 == 1 {
-                        let mut pattern = 0u8;
-                        for (k, _) in wires.iter().enumerate() {
-                            pattern |= (((rand_planes[k] >> lane) & 1) as u8) << k;
-                        }
-                        state.write_pattern(wires, pattern);
-                    } else {
-                        op.apply(state);
-                    }
-                }
-                report.fault_events += fault.count_ones() as u64;
-                report.faulted_lanes[word] |= fault;
-            }
-        }
-        for (lane, state) in lanes.iter().enumerate() {
-            batch.set_lane(lane, state);
-        }
-        report
+        run_sampled(engine, batch, rng, true)
     }
 
     fn run_masked(
@@ -2368,8 +1743,18 @@ impl Backend for ScalarBackend {
         masks: &[u64],
         rng: &mut SmallRng,
     ) -> BatchExecReport {
-        run_masked_word_scalar(&engine.circuit, batch, masks, rng)
+        single_word(batch);
+        run_masked_scalar(&engine.circuit, batch, masks, rng)
     }
+}
+
+/// Asserts that a masked backend run drives a single-word batch.
+fn single_word(batch: &BatchState) {
+    assert_eq!(
+        batch.words_per_wire(),
+        1,
+        "masked execution drives single-word batches"
+    );
 }
 
 /// The bit-parallel backend: branch-free plane kernels, 64 lanes per
@@ -2388,7 +1773,7 @@ impl Backend for BatchBackend {
         batch: &mut BatchState,
         rng: &mut dyn RngCore,
     ) -> BatchExecReport {
-        run_batch_words(&engine.circuit, &engine.table, batch, rng)
+        run_sampled(engine, batch, rng, false)
     }
 
     fn run_masked(
@@ -2403,31 +1788,8 @@ impl Backend for BatchBackend {
         // them clean, and faults are pushed to the segment boundary by
         // the precomputed propagation pairs — bit-identical to the raw
         // op-at-a-time loop (see `tests/microop_fusion.rs`).
-        assert_eq!(
-            batch.words_per_wire(),
-            1,
-            "masked execution drives single-word batches"
-        );
-        assert_eq!(
-            batch.n_wires(),
-            engine.circuit.n_wires(),
-            "batch width must match circuit width"
-        );
-        assert_eq!(
-            masks.len(),
-            engine.circuit.len(),
-            "mask schedule does not match this circuit"
-        );
-        let mut scratch = ExecScratch::default();
-        let rngs: &mut [SmallRng; 1] = std::slice::from_mut(rng)
-            .try_into()
-            .expect("one RNG for one word");
-        let out =
-            microop::run_masked_wide::<1>(engine.compiled(), batch, masks, rngs, &mut scratch);
-        BatchExecReport {
-            fault_events: out.fault_events,
-            faulted_lanes: out.faulted.to_vec(),
-        }
+        single_word(batch);
+        engine.run_batch_masked(batch, masks, std::slice::from_mut(rng))
     }
 }
 
@@ -3805,7 +3167,7 @@ mod tests {
             let mut fused = BatchState::zeros(9, 1);
             let mut rng_r = SmallRng::seed_from_u64(seed);
             let mut rng_f = SmallRng::seed_from_u64(seed);
-            let rr = run_masked_word_batch(&c, &mut raw, &masks, &mut rng_r);
+            let rr = run_masked_raw(&c, &mut raw, &masks, &mut rng_r);
             let rf = BatchBackend.run_masked(&engine, &mut fused, &masks, &mut rng_f);
             assert_eq!(rr, rf, "seed {seed}: reports differ");
             assert_eq!(raw, fused, "seed {seed}: states differ");
@@ -3835,26 +3197,31 @@ mod tests {
     }
 
     #[test]
-    fn mask_sampler_is_binomial() {
+    fn plain_schedule_lanes_fault_uniformly() {
         // Lane-occupancy check: each of the 64 lanes faults with the same
-        // marginal probability.
-        let sampler = MaskSampler::new(0.2);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let draws = 20_000usize;
-        let mut per_lane = [0u32; 64];
-        for _ in 0..draws {
-            let mask = sampler.sample(&mut rng);
-            for (lane, count) in per_lane.iter_mut().enumerate() {
-                *count += ((mask >> lane) & 1) as u32;
+        // marginal probability, where nearly every op faults and where
+        // faults are sparse.
+        for (g, draws) in [(0.2, 20_000usize), (1e-3, 400_000)] {
+            let mut c = Circuit::new(1);
+            c.not(w(0));
+            let engine = Engine::compile(&c, &UniformNoise::new(g));
+            let mut rng = SmallRng::seed_from_u64(9);
+            let mut per_lane = [0u32; 64];
+            let mut mask = [0u64];
+            for _ in 0..draws {
+                engine.sample_faults(&mut rng, &mut mask);
+                for (lane, count) in per_lane.iter_mut().enumerate() {
+                    *count += ((mask[0] >> lane) & 1) as u32;
+                }
             }
-        }
-        let expected = 0.2 * draws as f64;
-        let sd = (draws as f64 * 0.2 * 0.8).sqrt();
-        for (lane, &count) in per_lane.iter().enumerate() {
-            assert!(
-                ((count as f64) - expected).abs() < 6.0 * sd,
-                "lane {lane}: {count} vs {expected} ± {sd}"
-            );
+            let expected = g * draws as f64;
+            let sd = (draws as f64 * g * (1.0 - g)).sqrt();
+            for (lane, &count) in per_lane.iter().enumerate() {
+                assert!(
+                    ((count as f64) - expected).abs() < 6.0 * sd,
+                    "g {g} lane {lane}: {count} vs {expected} ± {sd}"
+                );
+            }
         }
     }
 

@@ -21,7 +21,7 @@
 //! - **the unified execution engine ([`engine`])** — the single entry
 //!   point for noisy simulation: [`engine::Engine`] compiles a circuit
 //!   against a noise model once (flattened op stream + per-op fault
-//!   probabilities + exact binomial fault-mask samplers) and then runs it
+//!   probabilities, with an O(faults) fault-schedule source) and then runs it
 //!   many times through interchangeable [`engine::Backend`]s —
 //!   [`engine::ScalarBackend`] (per-lane reference),
 //!   [`engine::BatchBackend`] (64 lanes per machine word, branch-free
@@ -72,6 +72,7 @@ pub mod microop;
 pub mod noise;
 pub mod op;
 pub mod permutation;
+mod source;
 pub mod state;
 mod tap;
 pub mod wire;

@@ -78,26 +78,12 @@
 
 use crate::batch::{kernels, BatchState};
 use crate::circuit::Circuit;
-use crate::engine::{fill_fault_planes, FaultTable, NEVER};
+use crate::engine::{fill_fault_planes, FaultTable};
 use crate::gate::Gate;
 use crate::op::Op;
 use crate::tap::InitTap;
 use crate::wire::Wire;
 use rand::rngs::SmallRng;
-use rand::Rng;
-
-/// Compact in-IR encoding of [`NEVER`] (micro-ops store sampler indices
-/// as `u32` to keep the op stream dense).
-const NEVER_U32: u32 = u32::MAX;
-
-/// Narrows an engine sampler index into the IR encoding.
-fn sampler_u32(sampler: usize) -> u32 {
-    if sampler == NEVER {
-        NEVER_U32
-    } else {
-        u32::try_from(sampler).expect("sampler index fits u32")
-    }
-}
 
 /// Largest wire count a single affine segment may touch (row, gather and
 /// scatter masks are single `u64` bit sets over the segment's wires).
@@ -110,8 +96,8 @@ const FUSE_COST_FACTOR: usize = 2;
 /// Constant-specialized (replay-mode) segments are only worth it when a
 /// 64-lane word clears the whole segment fault-free often enough for the
 /// one-pass affine fast path to pay for the occasional native replay.
-/// Above this per-word fault probability the sampled path would replay
-/// almost always, so the scan retries without specialization.
+/// Above this per-word fault probability a word would replay almost
+/// always, so the scan retries without specialization.
 const REPLAY_MAX_WORD_FAULT: f64 = 0.5;
 
 // ---------------------------------------------------------------------------
@@ -130,15 +116,13 @@ pub(crate) enum MicroOp {
     Affine(u32),
 }
 
-/// A native micro-op: the original op plus its precomputed fault lookup.
+/// A native micro-op: the original op plus its fault site.
 #[derive(Debug, Clone)]
 pub(crate) struct NativeOp {
     /// The original operation (drives the shared plane kernels).
     pub op: Op,
     /// Index of the op in the original stream (its fault site).
     pub op_index: u32,
-    /// Sampler index in the fault table ([`NEVER_U32`] = never faults).
-    pub sampler: u32,
     /// Precomputed support size.
     pub arity: u8,
 }
@@ -168,10 +152,6 @@ pub(crate) struct Gather {
 pub(crate) struct FaultSite {
     /// Index of the op in the original stream.
     pub op_index: u32,
-    /// Sampler index ([`NEVER_U32`] = never faults; the site still
-    /// exists so externally supplied mask schedules keep their
-    /// semantics).
-    pub sampler: u32,
     /// Support size (how many random planes a fault consumes).
     pub arity: u8,
     /// Per support wire: the would-be ideal post-op value as a function
@@ -325,7 +305,7 @@ pub(crate) fn lower(circuit: &Circuit, table: &FaultTable, split_inits: bool) ->
         } else {
             ops.len()
         };
-        match scan_segment(ops, table, i, limit, &mut pos_of) {
+        match scan_segment(ops, &table.probs, i, limit, &mut pos_of) {
             Some((seg, end, specialized)) => {
                 stats.record_segment(end - i, specialized);
                 micro.push(MicroOp::Affine(segments.len() as u32));
@@ -333,7 +313,7 @@ pub(crate) fn lower(circuit: &Circuit, table: &FaultTable, split_inits: bool) ->
                 i = end;
             }
             None => {
-                micro.push(native(ops, table, i));
+                micro.push(native(ops, i));
                 i += 1;
             }
         }
@@ -346,11 +326,10 @@ pub(crate) fn lower(circuit: &Circuit, table: &FaultTable, split_inits: bool) ->
     }
 }
 
-fn native(ops: &[Op], table: &FaultTable, i: usize) -> MicroOp {
+fn native(ops: &[Op], i: usize) -> MicroOp {
     MicroOp::Native(NativeOp {
         op: ops[i],
         op_index: i as u32,
-        sampler: sampler_u32(table.sampler_of[i]),
         arity: ops[i].arity() as u8,
     })
 }
@@ -566,7 +545,7 @@ impl Scan {
 /// returning).
 fn scan_segment(
     ops: &[Op],
-    table: &FaultTable,
+    probs: &[f64],
     start: usize,
     limit: usize,
     pos_of: &mut [u8],
@@ -603,7 +582,7 @@ fn scan_segment(
             let p_clean: f64 = ops[start..end]
                 .iter()
                 .enumerate()
-                .map(|(i, _)| (1.0 - table.probs[start + i]).powi(64))
+                .map(|(i, _)| (1.0 - probs[start + i]).powi(64))
                 .product();
             if 1.0 - p_clean > REPLAY_MAX_WORD_FAULT {
                 for &w in &scan.wires {
@@ -642,7 +621,6 @@ fn scan_segment(
             .enumerate()
             .map(|(i, op)| FaultSite {
                 op_index: (start + i) as u32,
-                sampler: sampler_u32(table.sampler_of[start + i]),
                 arity: op.arity() as u8,
                 gathers: [Gather::default(); 4],
                 scatters: [0u64; 4],
@@ -851,7 +829,7 @@ pub(crate) struct ExecScratch {
     inp: Vec<u64>,
     /// Projected boundary planes (flat, same layout).
     boundary: Vec<u64>,
-    /// Faults collected while sampling the current segment.
+    /// Faults collected from the schedule of the current segment.
     events: Vec<FaultEvent>,
     /// Per-site `(mask, planes)` of the word being replayed.
     replay: Vec<(u64, [u64; 4])>,
@@ -873,20 +851,22 @@ pub(crate) struct WideOutcome<const W: usize> {
     pub replayed_segments: u64,
 }
 
-/// Runs the compiled program over a `W`-word wide batch, **sampling**
-/// faults exactly like the raw word loop: per original op (in stream
-/// order), per logical word, one mask draw from that word's own RNG,
-/// then one full random plane per support wire when the mask is
-/// nonzero. Word `w` therefore consumes `rngs[w]` in the identical
-/// order to a `W = 1` raw run of that word — estimates stay
-/// byte-identical for a fixed seed at any width.
+/// Runs the compiled program over a `W`-word wide batch under a
+/// **precomputed** fault-mask schedule in the flat wide layout:
+/// `masks[i * W + w]` = lanes in which op `i` faults in logical word `w`
+/// (one contiguous load per op) — the stratified estimator's conditional
+/// execution path. Random planes are drawn from each word's RNG in op
+/// order via the shared sparse
+/// [`fill_fault_planes`](crate::engine::fill_fault_planes) schedule, so
+/// the result is bit-identical to `W` single-word
+/// [`Backend::run_masked`](crate::engine::Backend::run_masked) runs.
 ///
 /// `tap` sees the batch before every micro-op executes; the estimate
 /// path passes `()`, whose empty hook compiles away.
-pub(crate) fn run_sampled_wide<const W: usize, K: InitTap>(
+pub(crate) fn run_masked_wide<const W: usize, K: InitTap>(
     compiled: &CompiledOps,
-    table: &FaultTable,
     batch: &mut BatchState,
+    masks: &[u64],
     rngs: &mut [SmallRng; W],
     scratch: &mut ExecScratch,
     tap: &mut K,
@@ -899,94 +879,6 @@ pub(crate) fn run_sampled_wide<const W: usize, K: InitTap>(
     };
     for (mi, mop) in compiled.micro.iter().enumerate() {
         tap.before::<W>(mi, batch);
-        match mop {
-            MicroOp::Native(nat) => {
-                if nat.sampler == NEVER_U32 {
-                    kernels::apply_wide::<W>(batch, &nat.op);
-                    continue;
-                }
-                let sampler = &table.samplers[nat.sampler as usize];
-                let mut masks = [0u64; W];
-                let mut any = false;
-                for (w, rng) in rngs.iter_mut().enumerate() {
-                    masks[w] = sampler.sample(rng);
-                    any |= masks[w] != 0;
-                }
-                // One vectorized ideal kernel for every word; faulted
-                // words then pay only the per-lane blend.
-                kernels::apply_wide::<W>(batch, &nat.op);
-                if !any {
-                    continue;
-                }
-                let arity = nat.arity as usize;
-                for (w, rng) in rngs.iter_mut().enumerate() {
-                    if masks[w] != 0 {
-                        let mut rand_planes = [0u64; 4];
-                        for plane in rand_planes.iter_mut().take(arity) {
-                            *plane = rng.random::<u64>();
-                        }
-                        kernels::blend_faulted(batch, &nat.op, w, masks[w], &rand_planes);
-                        out.fault_events += masks[w].count_ones() as u64;
-                        out.faulted[w] |= masks[w];
-                    }
-                }
-            }
-            MicroOp::Affine(seg) => {
-                let seg = &compiled.segments[*seg as usize];
-                scratch.events.clear();
-                for (si, site) in seg.sites.iter().enumerate() {
-                    if site.sampler == NEVER_U32 {
-                        continue;
-                    }
-                    let sampler = &table.samplers[site.sampler as usize];
-                    let arity = site.arity as usize;
-                    for (w, rng) in rngs.iter_mut().enumerate() {
-                        let mask = sampler.sample(rng);
-                        if mask == 0 {
-                            continue;
-                        }
-                        let mut planes = [0u64; 4];
-                        for plane in planes.iter_mut().take(arity) {
-                            *plane = rng.random::<u64>();
-                        }
-                        scratch.events.push(FaultEvent {
-                            word: w as u8,
-                            site: si as u32,
-                            mask,
-                            planes,
-                        });
-                    }
-                }
-                apply_segment::<W>(seg, batch, scratch, &mut out);
-            }
-        }
-    }
-    out
-}
-
-/// Runs the compiled program over a `W`-word wide batch under a
-/// **precomputed** fault-mask schedule in the flat wide layout:
-/// `masks[i * W + w]` = lanes in which op `i` faults in logical word `w`
-/// (one contiguous load per op) — the stratified estimator's conditional
-/// execution path. Random planes are drawn from each word's RNG in op
-/// order via the shared sparse
-/// [`fill_fault_planes`](crate::engine::fill_fault_planes) schedule, so
-/// the result is bit-identical to `W` single-word
-/// [`Backend::run_masked`](crate::engine::Backend::run_masked) runs.
-pub(crate) fn run_masked_wide<const W: usize>(
-    compiled: &CompiledOps,
-    batch: &mut BatchState,
-    masks: &[u64],
-    rngs: &mut [SmallRng; W],
-    scratch: &mut ExecScratch,
-) -> WideOutcome<W> {
-    let mut out = WideOutcome {
-        faulted: [0u64; W],
-        fault_events: 0,
-        fused_segments: 0,
-        replayed_segments: 0,
-    };
-    for mop in &compiled.micro {
         match mop {
             MicroOp::Native(nat) => {
                 masked_native::<W>(

@@ -5,7 +5,7 @@
 //! ancilla is reset (§4): each INIT erases whatever its ≤ 3 wires held.
 //! [`Engine::tally_resets`](crate::engine::Engine::tally_resets) measures
 //! it by running the micro-op program 64 trials per word with a
-//! [`ResetTap`] attached to the sampled wide runner. The tap reads each
+//! [`ResetTap`] attached to the masked wide runner. The tap reads each
 //! INIT's support planes just before the INIT's micro-op executes and
 //! adds the joint 8-pattern counts of the word's valid lanes to a
 //! per-site `[u64; 8]` — eight AND + popcount steps per word and site.
@@ -23,7 +23,7 @@ use crate::engine::FaultTable;
 use crate::microop::{self, CompiledOps, MicroOp};
 use crate::op::{InitOp, Op};
 
-/// Hooks the word loops call around a sampled wide run. `()` is the
+/// Hooks the word loops call around a masked wide run. `()` is the
 /// no-op tap of the estimate path.
 pub(crate) trait InitTap: Send + Sized {
     /// Whether the run needs the program lowered with a split before
@@ -251,11 +251,14 @@ mod tests {
         c
     }
 
-    /// The oracle: for every INIT at op `i`, replay each word's stream
-    /// on the scalar backend over the prefix `ops[..i]` — the prefix
-    /// consumes the word's RNG exactly as the full run does up to the
-    /// INIT, so its final lanes are the full run's pre-reset lanes.
+    /// The oracle: for every INIT at op `i`, draw each word's fault
+    /// schedule for the whole circuit, then replay the schedule's prefix
+    /// `masks[..i]` on the scalar backend over the ops `ops[..i]` — the
+    /// prefix draws its fault planes exactly as the full run does up to
+    /// the INIT, so its final lanes are the full run's pre-reset lanes.
     fn prefix_replay(ops: &[Op], input: u64, g: f64, trials: u64, seed: u64) -> Vec<ResetSite> {
+        let full = Engine::compile(&circuit(ops), &UniformNoise::new(g));
+        let mut masks = vec![0u64; ops.len()];
         let mut sites = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             let Op::Init(init) = op else { continue };
@@ -270,7 +273,8 @@ mod tests {
                 }
                 let mut rng =
                     SmallRng::seed_from_u64(seed ^ WORD_SEED_STRIDE.wrapping_mul(word + 1));
-                ScalarBackend.run(&prefix, &mut batch, &mut rng);
+                full.sample_faults(&mut rng, &mut masks);
+                ScalarBackend.run_masked(&prefix, &mut batch, &masks[..i], &mut rng);
                 for lane in 0..64.min(trials - word * 64) as usize {
                     let pattern = batch.lane(lane).read_pattern(init.wires());
                     counts[pattern as usize] += 1;
