@@ -4,18 +4,27 @@
 //! the reproduction actually runs hot (27-op Figure-2 recovery cycle,
 //! 585-op level-2 concatenated Toffoli):
 //!
-//! - `run_*` — the **sampled** word loop (`batch_raw_exec`-equivalent,
-//!   same `g = 1/165` noise as BENCH_batch.json): `run_raw_w1` is the
-//!   pre-IR [`Engine::run_batch`]; `run_fused_w1`/`run_fused_w4` is the
-//!   compiled program via [`Engine::run_batch_fused`]. This loop is
-//!   bounded by the pinned RNG stream (one mask draw per op per word,
-//!   plus every fault's placement and plane draws), so the win here is
-//!   the kernel/dispatch share only.
-//! - `masked_*` — the **masked** word loop (the stratified rare-event
-//!   executor, [`Engine::run_batch_masked`] vs the raw reference):
-//!   `clean` runs an all-clear schedule (the fused floor — what a
-//!   schedule-clean word costs), `sparse` a plain-MC-like `g = 10⁻³`
-//!   schedule. This is where fusion + wide words pay ≥ 2×.
+//! - `run_*` — the **sampled** pass (`batch_raw_exec`-equivalent, same
+//!   `g = 1/165` noise as BENCH_batch.json): each word draws its fault
+//!   schedule, then executes it. `run_raw_w1` is [`Engine::run_batch`]
+//!   (op-at-a-time kernels); `run_fused_w1`/`run_fused_w4` is the
+//!   compiled program via [`Engine::run_batch_fused`].
+//! - `masked_*` — the **masked** word loop alone on a fixed schedule
+//!   ([`Engine::run_batch_masked`] vs the raw reference): `clean` runs an
+//!   all-clear schedule (the fused floor — what a schedule-clean word
+//!   costs), `sparse` a plain-MC-like `g = 10⁻³` schedule. This is where
+//!   fusion + wide words pay ≥ 2×.
+//! - `masked_drawn_g1e-3_fused_w4` — the masked loop on fresh schedules
+//!   drawn by the engine's fault source at `g = 10⁻³`: four independent
+//!   words per batch, cycled through a pool of 256. A fixed `sparse`
+//!   schedule shared by all four words replays each faulted segment once
+//!   per batch instead of once per word, and repeating it lets the
+//!   branch predictor learn it, so `masked_sparse_*` is a floor, not what
+//!   a sampled pass executes.
+//! - `sampled_g1e-3_fused_w4` — the sampled pass at the same `g`: each
+//!   word draws its schedule, then runs it. Its ratio to
+//!   `masked_drawn_g1e-3_fused_w4` is the like-for-like cost of drawing
+//!   the schedules (CI gates it at ≤ 1.2).
 //!
 //! Throughput is lanes (trials) per iteration so criterion's elements/s
 //! are comparable across widths. `stratified_width` times the full
@@ -125,6 +134,55 @@ fn fused_vs_raw(c: &mut Criterion) {
                 });
             });
         }
+
+        // The masked loop on schedules drawn by the engine's own fault
+        // source at the same `g`: four independent words per batch,
+        // cycled through a pool too large for the branch predictor to
+        // learn — what the sampled pass below executes, minus the draws.
+        let mut source = SmallRng::seed_from_u64(77);
+        let mut word = vec![0u64; n_ops];
+        let pool: Vec<Vec<u64>> = (0..256)
+            .map(|_| {
+                let mut flat = vec![0u64; n_ops * 4];
+                for w in 0..4 {
+                    engine.sample_faults(&mut source, &mut word);
+                    for (i, &m) in word.iter().enumerate() {
+                        flat[i * 4 + w] = m;
+                    }
+                }
+                flat
+            })
+            .collect();
+        group.bench_function(format!("masked_drawn_g1e-3_fused_w4/{name}"), |b| {
+            let mut rngs: [SmallRng; 4] =
+                std::array::from_fn(|k| SmallRng::seed_from_u64(5 + k as u64));
+            let mut batch = BatchState::zeros(n, 4);
+            let mut next = pool.iter().cycle();
+            b.iter(|| {
+                let masks = next.next().expect("cycled pool");
+                black_box(
+                    engine
+                        .run_batch_masked(&mut batch, masks, &mut rngs[..])
+                        .fault_events,
+                )
+            });
+        });
+
+        // The sampled pass at the same noise: each word draws its own
+        // schedule (O(faults)) and runs it on the masked loop above.
+        group.throughput(Throughput::Elements(256));
+        group.bench_function(format!("sampled_g1e-3_fused_w4/{name}"), |b| {
+            let mut rngs: [SmallRng; 4] =
+                std::array::from_fn(|k| SmallRng::seed_from_u64(5 + k as u64));
+            let mut batch = BatchState::zeros(n, 4);
+            b.iter(|| {
+                black_box(
+                    engine
+                        .run_batch_fused(&mut batch, &mut rngs[..])
+                        .fault_events,
+                )
+            });
+        });
     }
     group.finish();
 }
