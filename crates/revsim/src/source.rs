@@ -102,11 +102,17 @@ impl GapTable {
             .trailing_zeros()
             .clamp(1, GAP_BITS);
         let size = 1usize << bits;
-        let ln_r = (-q).ln_1p();
+        // `P(G ≥ m) = (1 − q)^m`; bucket mass `q (1 − q)^m`, the last the
+        // whole tail.
+        let mut at_least = 1.0;
         let mut scaled: Vec<f64> = (0..size)
             .map(|m| {
-                let tail = (m as f64 * ln_r).exp();
-                let mass = if m + 1 == size { tail } else { q * tail };
+                let mass = if m + 1 == size {
+                    at_least
+                } else {
+                    q * at_least
+                };
+                at_least *= 1.0 - q;
                 mass * size as f64
             })
             .collect();
@@ -231,29 +237,29 @@ fn convolve_pmf(a: &[f64], b: &[f64]) -> Vec<f64> {
 
 impl RateGroup {
     fn new(ops: Vec<u32>, p: f64) -> Self {
-        // `P(C = c)` in log space (no underflow at either end of `p`),
-        // summed from the top so that small tails keep their precision.
-        let (ln_p, ln_q) = (p.ln(), (-p).ln_1p());
-        let mut ln_choose = 0.0;
-        let lane_pmf: Vec<f64> = (0..=64)
-            .map(|c: u32| {
-                if c > 0 {
-                    ln_choose += f64::from(65 - c).ln() - f64::from(c).ln();
-                }
-                if p >= 1.0 {
-                    f64::from(u8::from(c == 64))
-                } else {
-                    (ln_choose + f64::from(c) * ln_p + f64::from(64 - c) * ln_q).exp()
-                }
-            })
-            .collect();
+        // `P(C = c)` by the multiplicative recurrence, started from the
+        // larger end (no underflow for `p` near 0 or 1), then summed from
+        // the top so that small tails keep their precision.
+        let mut lane_pmf = [0.0f64; 65];
+        if p <= 0.5 {
+            lane_pmf[0] = (1.0 - p).powi(64);
+            for c in 1..=64 {
+                lane_pmf[c] = lane_pmf[c - 1] * (p / (1.0 - p)) * (65 - c) as f64 / c as f64;
+            }
+        } else {
+            lane_pmf[64] = p.powi(64);
+            for c in (0..64).rev() {
+                lane_pmf[c] = lane_pmf[c + 1] * ((1.0 - p) / p) * (c + 1) as f64 / (64 - c) as f64;
+            }
+        }
         let mut lane_tail = [0u64; 64];
         let mut above = 0.0;
         for c in (0..64).rev() {
             above += lane_pmf[c + 1];
             lane_tail[c] = (above.min(1.0) * (1u64 << 58) as f64) as u64;
         }
-        let q = -(64.0 * ln_q).exp_m1();
+        // `q = P(C ≥ 1)`, the sum of the small terms.
+        let q = above;
         let n = ops.len();
         RateGroup {
             pmf: binomial_pmf(n, p),
