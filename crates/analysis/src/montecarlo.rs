@@ -62,27 +62,23 @@ impl WordTrial for ConcatTrial<'_> {
         self.program.n_physical()
     }
 
-    fn prepare(&self, batch: &mut BatchState, rng: &mut dyn RngCore) -> Vec<u64> {
-        let mut logical = Vec::new();
-        self.prepare_into(batch, rng, &mut logical);
-        logical
-    }
-
-    fn prepare_into(&self, batch: &mut BatchState, rng: &mut dyn RngCore, inputs: &mut Vec<u64>) {
+    fn prepare(
+        &self,
+        batch: &mut BatchState,
+        word: usize,
+        rng: &mut dyn RngCore,
+        inputs: &mut Vec<u64>,
+    ) {
         inputs.clear();
         inputs.extend((0..self.program.n_logical()).map(|_| rng.random::<u64>()));
-        self.program.encode_word(batch, 0, inputs);
+        self.program.encode_word(batch, word, inputs);
     }
 
-    fn judge(&self, batch: &BatchState, inputs: &[u64]) -> u64 {
-        self.judge_masked(batch, inputs, u64::MAX)
-    }
-
-    fn judge_masked(&self, batch: &BatchState, inputs: &[u64], candidates: u64) -> u64 {
+    fn judge(&self, batch: &BatchState, word: usize, inputs: &[u64], candidates: u64) -> u64 {
         if candidates == 0 {
             return 0;
         }
-        let decoded = self.program.decode_word(batch, 0);
+        let decoded = self.program.decode_word(batch, word);
         failure_mask_in(candidates, inputs, &decoded, |input| {
             self.ideal.apply(input)
         })

@@ -103,13 +103,13 @@ impl WordTrial for AdderTrial<'_> {
         self.n_wires
     }
 
-    fn prepare(&self, batch: &mut BatchState, rng: &mut dyn RngCore) -> Vec<u64> {
-        let mut inputs = Vec::new();
-        self.prepare_into(batch, rng, &mut inputs);
-        inputs
-    }
-
-    fn prepare_into(&self, batch: &mut BatchState, rng: &mut dyn RngCore, inputs: &mut Vec<u64>) {
+    fn prepare(
+        &self,
+        batch: &mut BatchState,
+        word: usize,
+        rng: &mut dyn RngCore,
+        inputs: &mut Vec<u64>,
+    ) {
         inputs.clear();
         let width = self.adder.width;
         // Layout: a planes, b planes, then the carry-in plane.
@@ -117,13 +117,13 @@ impl WordTrial for AdderTrial<'_> {
             inputs.push(rng.random::<u64>());
         }
         for i in 0..width {
-            batch.set_word(self.adder.a[i], 0, inputs[i]);
-            batch.set_word(self.adder.b[i], 0, inputs[width + i]);
+            batch.set_word(self.adder.a[i], word, inputs[i]);
+            batch.set_word(self.adder.b[i], word, inputs[width + i]);
         }
-        batch.set_word(self.adder.cin, 0, inputs[2 * width]);
+        batch.set_word(self.adder.cin, word, inputs[2 * width]);
     }
 
-    fn judge(&self, batch: &BatchState, inputs: &[u64]) -> u64 {
+    fn judge(&self, batch: &BatchState, word: usize, inputs: &[u64], candidates: u64) -> u64 {
         let width = self.adder.width;
         // Branch-free per-lane ripple on the input planes gives the
         // ideal sum; any mismatching output plane marks the lane wrong.
@@ -132,16 +132,17 @@ impl WordTrial for AdderTrial<'_> {
         for i in 0..width {
             let (a, b) = (inputs[i], inputs[width + i]);
             let p = a ^ b;
-            wrong |= (p ^ carry) ^ batch.word(self.adder.sum[i], 0);
+            wrong |= (p ^ carry) ^ batch.word(self.adder.sum[i], word);
             carry = (a & b) | (carry & p);
         }
-        wrong |= carry ^ batch.word(self.adder.cout, 0);
-        match (self.mode, self.flag) {
+        wrong |= carry ^ batch.word(self.adder.cout, word);
+        let failed = match (self.mode, self.flag) {
             (TrialMode::Wrong, _) => wrong,
-            (TrialMode::UndetectedWrong, Some(flag)) => wrong & !batch.word(flag, 0),
-            (TrialMode::Detected, Some(flag)) => batch.word(flag, 0),
+            (TrialMode::UndetectedWrong, Some(flag)) => wrong & !batch.word(flag, word),
+            (TrialMode::Detected, Some(flag)) => batch.word(flag, word),
             _ => unreachable!("flag-requiring mode on an unchecked trial"),
-        }
+        };
+        failed & candidates
     }
 
     /// Encode → run → judge against exact plane arithmetic: a fault-free

@@ -275,29 +275,6 @@ impl BatchState {
             *p ^= v;
         }
     }
-
-    /// Copies plane word 0 of every wire of single-word `src` into plane
-    /// word `word` of `self` (the wide word loops stage per-word trial
-    /// inputs this way).
-    pub(crate) fn load_column(&mut self, word: usize, src: &BatchState) {
-        debug_assert_eq!(src.words, 1);
-        debug_assert_eq!(src.n_wires, self.n_wires);
-        debug_assert!(word < self.words);
-        for wire in 0..self.n_wires {
-            self.planes[wire * self.words + word] = src.planes[wire];
-        }
-    }
-
-    /// Copies plane word `word` of every wire of `self` into plane word 0
-    /// of single-word `dst` (staging a finished column for judging).
-    pub(crate) fn store_column(&self, word: usize, dst: &mut BatchState) {
-        debug_assert_eq!(dst.words, 1);
-        debug_assert_eq!(dst.n_wires, self.n_wires);
-        debug_assert!(word < self.words);
-        for wire in 0..self.n_wires {
-            dst.planes[wire] = self.planes[wire * self.words + word];
-        }
-    }
 }
 
 impl fmt::Debug for BatchState {

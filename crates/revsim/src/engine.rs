@@ -1087,7 +1087,6 @@ impl Engine {
         let source = self.fault_source();
         let n_wires = self.circuit.n_wires();
         let mut wide = BatchState::zeros(n_wires, W);
-        let mut col = BatchState::zeros(n_wires, 1);
         let mut inputs: [Vec<u64>; W] = std::array::from_fn(|_| Vec::new());
         // Flat wide mask layout: masks[op * W + w].
         let mut masks = vec![0u64; self.circuit.len() * W];
@@ -1117,10 +1116,9 @@ impl Engine {
                 )
             });
             masks.fill(0);
+            wide.clear();
             for (k, rng) in rngs.iter_mut().enumerate() {
-                col.clear();
-                trial.prepare_into(&mut col, rng, &mut inputs[k]);
-                wide.load_column(k, &col);
+                trial.prepare(&mut wide, k, rng, &mut inputs[k]);
                 extras.mask_draws += schedules.draw(source, i + k as u64, rng, &mut masks, W, k);
             }
             let valid: [u64; W] =
@@ -1158,10 +1156,7 @@ impl Engine {
                 };
                 let tally = &mut tallies[schedules.slot(i + k as u64)];
                 if candidates != 0 {
-                    wide.store_column(k, &mut col);
-                    tally.0 += trial
-                        .judge_masked(&col, word_inputs, candidates)
-                        .count_ones() as u64;
+                    tally.0 += trial.judge(&wide, k, word_inputs, candidates).count_ones() as u64;
                 }
                 tally.1 += valid.count_ones() as u64;
             }
@@ -2352,42 +2347,32 @@ pub struct ResetSite {
 // ---------------------------------------------------------------------------
 
 /// One 64-lane word of Monte-Carlo trials: how to prepare inputs and
-/// judge failures. [`Engine::estimate`] supplies a single-word
-/// [`BatchState`] (64 lanes) zeroed before `prepare`.
+/// judge failures. The word loop runs several words side by side in one
+/// wide [`BatchState`]; a trial reads and writes only its own plane word
+/// `word` of every wire (its column).
 pub trait WordTrial: Sync {
     /// Physical width the trial expects (must match the engine's
     /// circuit).
     fn n_wires(&self) -> usize;
 
-    /// Draws per-lane inputs from `rng`, encodes them into plane word 0
-    /// of `batch`, and returns them (one plane per logical wire, bit `l`
-    /// = lane `l`'s value) for [`WordTrial::judge`].
-    fn prepare(&self, batch: &mut BatchState, rng: &mut dyn RngCore) -> Vec<u64>;
+    /// Draws per-lane inputs from `rng`, encodes them into plane word
+    /// `word` of `batch` (zero on entry), and leaves them in `inputs`
+    /// (cleared first; one plane per logical wire, bit `l` = lane `l`'s
+    /// value) for [`WordTrial::judge`].
+    fn prepare(
+        &self,
+        batch: &mut BatchState,
+        word: usize,
+        rng: &mut dyn RngCore,
+        inputs: &mut Vec<u64>,
+    );
 
-    /// Buffer-reusing variant of [`WordTrial::prepare`]: writes the lane
-    /// inputs into `inputs` (cleared first) instead of allocating. The
-    /// hot word loops call this; override it alongside `prepare` to keep
-    /// the per-word cost allocation-free.
-    fn prepare_into(&self, batch: &mut BatchState, rng: &mut dyn RngCore, inputs: &mut Vec<u64>) {
-        inputs.clear();
-        inputs.extend(self.prepare(batch, rng));
-    }
-
-    /// Mask of lanes whose final state counts as a logical failure.
-    fn judge(&self, batch: &BatchState, inputs: &[u64]) -> u64;
-
-    /// [`WordTrial::judge`] restricted to `candidates`: only lanes in the
-    /// mask can be flagged (the result is implicitly ANDed with it). The
-    /// word loops call this with the mask of *faulted* lanes whenever the
-    /// trial declares fault-free lanes safe — skipping the per-lane
-    /// decode of the (often vast) clean majority. Override together with
-    /// `judge` to exploit the restriction.
-    fn judge_masked(&self, batch: &BatchState, inputs: &[u64], candidates: u64) -> u64 {
-        if candidates == 0 {
-            return 0;
-        }
-        self.judge(batch, inputs) & candidates
-    }
+    /// Mask of the lanes of plane word `word` whose final state counts as
+    /// a logical failure, restricted to `candidates` (the result is
+    /// ANDed with it). The word loop passes the mask of *faulted* lanes
+    /// whenever the trial declares fault-free lanes safe, so a trial may
+    /// skip decoding the (often vast) clean majority.
+    fn judge(&self, batch: &BatchState, word: usize, inputs: &[u64], candidates: u64) -> u64;
 
     /// Whether a lane that experienced **zero** faults can still be
     /// judged a failure. The stratified estimator's zero-fault elision is
@@ -2421,17 +2406,16 @@ impl WordTrial for FixedInput<'_> {
         self.0.len()
     }
 
-    fn prepare(&self, batch: &mut BatchState, _rng: &mut dyn RngCore) -> Vec<u64> {
+    fn prepare(&self, batch: &mut BatchState, word: usize, _: &mut dyn RngCore, _: &mut Vec<u64>) {
         for i in 0..self.0.len() {
             let wire = Wire::new(i as u32);
             if self.0.get(wire) {
-                batch.set_word(wire, 0, u64::MAX);
+                batch.set_word(wire, word, u64::MAX);
             }
         }
-        Vec::new()
     }
 
-    fn judge(&self, _batch: &BatchState, _inputs: &[u64]) -> u64 {
+    fn judge(&self, _: &BatchState, _: usize, _: &[u64], _: u64) -> u64 {
         0
     }
 
@@ -2576,12 +2560,10 @@ mod tests {
             self.n_wires
         }
 
-        fn prepare(&self, _batch: &mut BatchState, _rng: &mut dyn RngCore) -> Vec<u64> {
-            Vec::new()
-        }
+        fn prepare(&self, _: &mut BatchState, _: usize, _: &mut dyn RngCore, _: &mut Vec<u64>) {}
 
-        fn judge(&self, batch: &BatchState, _inputs: &[u64]) -> u64 {
-            batch.word(w(0), 0)
+        fn judge(&self, batch: &BatchState, word: usize, _: &[u64], candidates: u64) -> u64 {
+            batch.word(w(0), word) & candidates
         }
     }
 
@@ -2745,11 +2727,10 @@ mod tests {
             fn n_wires(&self) -> usize {
                 9
             }
-            fn prepare(&self, _batch: &mut BatchState, _rng: &mut dyn RngCore) -> Vec<u64> {
-                Vec::new()
+            fn prepare(&self, _: &mut BatchState, _: usize, _: &mut dyn RngCore, _: &mut Vec<u64>) {
             }
-            fn judge(&self, _batch: &BatchState, _inputs: &[u64]) -> u64 {
-                u64::MAX
+            fn judge(&self, _: &BatchState, _: usize, _: &[u64], candidates: u64) -> u64 {
+                candidates
             }
         }
         let c = recovery_like_circuit();
@@ -2853,19 +2834,25 @@ mod tests {
             self.circuit.n_wires()
         }
 
-        fn prepare(&self, batch: &mut BatchState, rng: &mut dyn RngCore) -> Vec<u64> {
-            let planes: Vec<u64> = (0..self.circuit.n_wires()).map(|_| rng.random()).collect();
-            for (i, &plane) in planes.iter().enumerate() {
-                batch.set_word(crate::wire::w(i as u32), 0, plane);
+        fn prepare(
+            &self,
+            batch: &mut BatchState,
+            word: usize,
+            rng: &mut dyn RngCore,
+            inputs: &mut Vec<u64>,
+        ) {
+            inputs.clear();
+            inputs.extend((0..self.circuit.n_wires()).map(|_| rng.random::<u64>()));
+            for (i, &plane) in inputs.iter().enumerate() {
+                batch.set_word(crate::wire::w(i as u32), word, plane);
             }
-            planes
         }
 
-        fn judge(&self, batch: &BatchState, inputs: &[u64]) -> u64 {
+        fn judge(&self, batch: &BatchState, word: usize, inputs: &[u64], candidates: u64) -> u64 {
             let outputs: Vec<u64> = (0..self.circuit.n_wires())
-                .map(|i| batch.word(crate::wire::w(i as u32), 0))
+                .map(|i| batch.word(crate::wire::w(i as u32), word))
                 .collect();
-            failure_mask(inputs, &outputs, |x| self.ideal.apply(x))
+            failure_mask(inputs, &outputs, |x| self.ideal.apply(x)) & candidates
         }
 
         fn fault_free_can_fail(&self) -> bool {

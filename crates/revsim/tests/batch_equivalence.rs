@@ -76,16 +76,22 @@ impl WordTrial for Wire0Trial {
         N_WIRES
     }
 
-    fn prepare(&self, batch: &mut BatchState, rng: &mut dyn rand::RngCore) -> Vec<u64> {
-        let inputs: Vec<u64> = (0..N_WIRES).map(|_| rng.random()).collect();
+    fn prepare(
+        &self,
+        batch: &mut BatchState,
+        word: usize,
+        rng: &mut dyn rand::RngCore,
+        inputs: &mut Vec<u64>,
+    ) {
+        inputs.clear();
+        inputs.extend((0..N_WIRES).map(|_| rng.random::<u64>()));
         for (i, &bits) in inputs.iter().enumerate() {
-            batch.set_word(w(i as u32), 0, bits);
+            batch.set_word(w(i as u32), word, bits);
         }
-        inputs
     }
 
-    fn judge(&self, batch: &BatchState, _inputs: &[u64]) -> u64 {
-        batch.word(w(0), 0)
+    fn judge(&self, batch: &BatchState, word: usize, _: &[u64], candidates: u64) -> u64 {
+        batch.word(w(0), word) & candidates
     }
 }
 

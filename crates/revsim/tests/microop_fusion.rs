@@ -238,15 +238,21 @@ impl WordTrial for ParityTrial {
         6
     }
 
-    fn prepare(&self, batch: &mut BatchState, rng: &mut dyn rand::RngCore) -> Vec<u64> {
-        let inputs: Vec<u64> = (0..6).map(|_| rng.random()).collect();
+    fn prepare(
+        &self,
+        batch: &mut BatchState,
+        word: usize,
+        rng: &mut dyn rand::RngCore,
+        inputs: &mut Vec<u64>,
+    ) {
+        inputs.clear();
+        inputs.extend((0..6).map(|_| rng.random::<u64>()));
         for (i, &bits) in inputs.iter().enumerate() {
-            batch.set_word(w(i as u32), 0, bits);
+            batch.set_word(w(i as u32), word, bits);
         }
-        inputs
     }
 
-    fn judge(&self, batch: &BatchState, inputs: &[u64]) -> u64 {
+    fn judge(&self, batch: &BatchState, word: usize, inputs: &[u64], candidates: u64) -> u64 {
         // Ideal: recompute scalarly via the permutation of a fault-free
         // run; compare the parity of wires 3 and 5.
         let mut ideal = BatchState::zeros(6, 1);
@@ -261,7 +267,8 @@ impl WordTrial for ParityTrial {
             .maj(w(0), w(1), w(2))
             .toffoli(w(0), w(3), w(5));
         run_ideal_batch(&c, &mut ideal);
-        (ideal.word(w(3), 0) ^ ideal.word(w(5), 0)) ^ (batch.word(w(3), 0) ^ batch.word(w(5), 0))
+        let got = batch.word(w(3), word) ^ batch.word(w(5), word);
+        (ideal.word(w(3), 0) ^ ideal.word(w(5), 0) ^ got) & candidates
     }
 
     fn fault_free_can_fail(&self) -> bool {
