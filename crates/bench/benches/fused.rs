@@ -16,11 +16,12 @@
 //!   fusion + wide words pay ≥ 2×.
 //! - `masked_drawn_g1e-3_fused_w4` — the masked loop on fresh schedules
 //!   drawn by the engine's fault source at `g = 10⁻³`: four independent
-//!   words per batch, cycled through a pool of 256. A fixed `sparse`
-//!   schedule shared by all four words replays each faulted segment once
-//!   per batch instead of once per word, and repeating it lets the
-//!   branch predictor learn it, so `masked_sparse_*` is a floor, not what
-//!   a sampled pass executes.
+//!   words, drawn into a new buffer before every call, outside the timed
+//!   region, so the schedule is as hot in cache as the sampled pass's own
+//!   and never repeats. A fixed `sparse` schedule shared by all four
+//!   words replays each faulted segment once per batch instead of once
+//!   per word, and repeating it lets the branch predictor learn it, so
+//!   `masked_sparse_*` is a floor, not what a sampled pass executes.
 //! - `sampled_g1e-3_fused_w4` — the sampled pass at the same `g`: each
 //!   word draws its schedule, then runs it. Its ratio to
 //!   `masked_drawn_g1e-3_fused_w4` is the like-for-like cost of drawing
@@ -30,7 +31,7 @@
 //! are comparable across widths. `stratified_width` times the full
 //! stratified estimate (mask building included) at widths 1 and 4.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rft_analysis::prelude::*;
@@ -136,36 +137,35 @@ fn fused_vs_raw(c: &mut Criterion) {
         }
 
         // The masked loop on schedules drawn by the engine's own fault
-        // source at the same `g`: four independent words per batch,
-        // cycled through a pool too large for the branch predictor to
-        // learn — what the sampled pass below executes, minus the draws.
-        let mut source = SmallRng::seed_from_u64(77);
-        let mut word = vec![0u64; n_ops];
-        let pool: Vec<Vec<u64>> = (0..256)
-            .map(|_| {
-                let mut flat = vec![0u64; n_ops * 4];
-                for w in 0..4 {
-                    engine.sample_faults(&mut source, &mut word);
-                    for (i, &m) in word.iter().enumerate() {
-                        flat[i * 4 + w] = m;
-                    }
-                }
-                flat
-            })
-            .collect();
+        // source at the same `g`, four independent words, fresh before
+        // every call — what the sampled pass below executes, minus the
+        // draws.
         group.bench_function(format!("masked_drawn_g1e-3_fused_w4/{name}"), |b| {
             let mut rngs: [SmallRng; 4] =
                 std::array::from_fn(|k| SmallRng::seed_from_u64(5 + k as u64));
             let mut batch = BatchState::zeros(n, 4);
-            let mut next = pool.iter().cycle();
-            b.iter(|| {
-                let masks = next.next().expect("cycled pool");
-                black_box(
-                    engine
-                        .run_batch_masked(&mut batch, masks, &mut rngs[..])
-                        .fault_events,
-                )
-            });
+            let mut source = SmallRng::seed_from_u64(77);
+            let mut word = vec![0u64; n_ops];
+            b.iter_batched_ref(
+                || {
+                    let mut flat = vec![0u64; n_ops * 4];
+                    for w in 0..4 {
+                        engine.sample_faults(&mut source, &mut word);
+                        for (i, &m) in word.iter().enumerate() {
+                            flat[i * 4 + w] = m;
+                        }
+                    }
+                    flat
+                },
+                |masks| {
+                    black_box(
+                        engine
+                            .run_batch_masked(&mut batch, masks, &mut rngs[..])
+                            .fault_events,
+                    )
+                },
+                BatchSize::PerIteration,
+            );
         });
 
         // The sampled pass at the same noise: each word draws its own
