@@ -22,6 +22,10 @@
 //!   words replays each faulted segment once per batch instead of once
 //!   per word, and repeating it lets the branch predictor learn it, so
 //!   `masked_sparse_*` is a floor, not what a sampled pass executes.
+//! - `masked_strat_k4_fused_w4` — the same, on fresh stratified
+//!   schedules with exactly four faults in every lane (the `k = 4`
+//!   stratum of a level-2 estimate): the dense words whose faulted-op
+//!   blends dominate the stratified estimates.
 //! - `sampled_g1e-3_fused_w4` — the sampled pass at the same `g`: each
 //!   word draws its schedule, then runs it. Its ratio to
 //!   `masked_drawn_g1e-3_fused_w4` is the like-for-like cost of drawing
@@ -151,6 +155,39 @@ fn fused_vs_raw(c: &mut Criterion) {
                     let mut flat = vec![0u64; n_ops * 4];
                     for w in 0..4 {
                         engine.sample_faults(&mut source, &mut word);
+                        for (i, &m) in word.iter().enumerate() {
+                            flat[i * 4 + w] = m;
+                        }
+                    }
+                    flat
+                },
+                |masks| {
+                    black_box(
+                        engine
+                            .run_batch_masked(&mut batch, masks, &mut rngs[..])
+                            .fault_events,
+                    )
+                },
+                BatchSize::PerIteration,
+            );
+        });
+
+        // The masked loop on fresh stratified schedules: every lane of
+        // each of the four words carries exactly four faults (the `k = 4`
+        // stratum of a level-2 estimate), drawn before every call outside
+        // the timed region. Dense words are where the faulted-op blend
+        // dominates the cost.
+        group.bench_function(format!("masked_strat_k4_fused_w4/{name}"), |b| {
+            let mut rngs: [SmallRng; 4] =
+                std::array::from_fn(|k| SmallRng::seed_from_u64(5 + k as u64));
+            let mut batch = BatchState::zeros(n, 4);
+            let mut source = SmallRng::seed_from_u64(78);
+            let mut word = vec![0u64; n_ops];
+            b.iter_batched_ref(
+                || {
+                    let mut flat = vec![0u64; n_ops * 4];
+                    for w in 0..4 {
+                        engine.sample_faults_exactly(4, &mut source, &mut word);
                         for (i, &m) in word.iter().enumerate() {
                             flat[i * 4 + w] = m;
                         }

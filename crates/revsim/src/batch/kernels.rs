@@ -12,8 +12,9 @@
 //! (`rand[k]` supplies the random plane for the k-th support wire).
 
 use super::BatchState;
-use crate::gate::Gate;
+use crate::gate::{Gate, OpKind};
 use crate::op::Op;
+use crate::wire::Wire;
 
 /// Applies `op` to plane word `word` of all lanes at once.
 #[inline]
@@ -156,18 +157,19 @@ pub fn apply_word_masked(
     }
 }
 
-/// Applies `op` to the full `W`-word wide word of every wire it touches —
-/// the [`crate::microop`] fast path. Requires `state.words_per_wire() ==
-/// W`; the element-wise `[u64; W]` logic autovectorizes (a wide word is
-/// `W` consecutive 64-lane logical words).
+/// Applies a pre-decoded op — its `kind` and its support `wires` in
+/// [`crate::op::Op::support`] order, `arity` of them — to the full
+/// `W`-word wide word of every wire it touches: the [`crate::microop`]
+/// kernel. Requires `state.words_per_wire() == W`; the element-wise
+/// `[u64; W]` logic autovectorizes (a wide word is `W` consecutive 64-lane
+/// logical words).
 #[inline]
-pub(crate) fn apply_wide<const W: usize>(state: &mut BatchState, op: &Op) {
-    if W == 1 {
-        // The single-word kernels index planes directly — slightly
-        // better codegen than the degenerate `[u64; 1]` slice ops.
-        apply_word(state, op, 0);
-        return;
-    }
+pub(crate) fn apply_wide<const W: usize>(
+    state: &mut BatchState,
+    kind: OpKind,
+    wires: &[Wire; 4],
+    arity: usize,
+) {
     #[inline]
     fn xor<const W: usize>(mut a: [u64; W], b: [u64; W]) -> [u64; W] {
         for (x, y) in a.iter_mut().zip(b) {
@@ -182,57 +184,48 @@ pub(crate) fn apply_wide<const W: usize>(state: &mut BatchState, op: &Op) {
         }
         a
     }
-    let gate = match op {
-        Op::Gate(g) => g,
-        Op::Init(init) => {
-            for &wire in init.wires() {
+    let [a, b, c, d] = *wires;
+    match kind {
+        OpKind::Init => {
+            for &wire in &wires[..arity] {
                 state.set_wide(wire, [0u64; W]);
             }
-            return;
         }
-    };
-    match *gate {
-        Gate::Not(a) => {
+        OpKind::Not => {
             let mut va = state.wide::<W>(a);
             for x in va.iter_mut() {
                 *x = !*x;
             }
             state.set_wide(a, va);
         }
-        Gate::Cnot { control, target } => {
-            let c = state.wide::<W>(control);
-            state.xor_wide(target, c);
+        OpKind::Cnot => {
+            let va = state.wide::<W>(a);
+            state.xor_wide(b, va);
         }
-        Gate::Toffoli {
-            controls: [c0, c1],
-            target,
-        } => {
-            let c = and(state.wide::<W>(c0), state.wide::<W>(c1));
-            state.xor_wide(target, c);
+        OpKind::Toffoli => {
+            let v = and(state.wide::<W>(a), state.wide::<W>(b));
+            state.xor_wide(c, v);
         }
-        Gate::Swap(a, b) => {
+        OpKind::Swap => {
             let (va, vb) = (state.wide::<W>(a), state.wide::<W>(b));
             state.set_wide(a, vb);
             state.set_wide(b, va);
         }
-        Gate::Swap3(a, b, c) => {
+        OpKind::Swap3 => {
             let (va, vb, vc) = (state.wide::<W>(a), state.wide::<W>(b), state.wide::<W>(c));
             state.set_wide(a, vb);
             state.set_wide(b, vc);
             state.set_wide(c, va);
         }
-        Gate::Fredkin {
-            control,
-            targets: [t0, t1],
-        } => {
-            let d = and(
-                xor(state.wide::<W>(t0), state.wide::<W>(t1)),
-                state.wide::<W>(control),
+        OpKind::Fredkin => {
+            let v = and(
+                xor(state.wide::<W>(b), state.wide::<W>(c)),
+                state.wide::<W>(a),
             );
-            state.xor_wide(t0, d);
-            state.xor_wide(t1, d);
+            state.xor_wide(b, v);
+            state.xor_wide(c, v);
         }
-        Gate::Maj(a, b, c) => {
+        OpKind::Maj => {
             let va = state.wide::<W>(a);
             let vb = xor(state.wide::<W>(b), va);
             let vc = xor(state.wide::<W>(c), va);
@@ -240,7 +233,7 @@ pub(crate) fn apply_wide<const W: usize>(state: &mut BatchState, op: &Op) {
             state.set_wide(c, vc);
             state.set_wide(a, xor(va, and(vb, vc)));
         }
-        Gate::MajInv(a, b, c) => {
+        OpKind::MajInv => {
             let vb = state.wide::<W>(b);
             let vc = state.wide::<W>(c);
             let va = xor(state.wide::<W>(a), and(vb, vc));
@@ -248,12 +241,12 @@ pub(crate) fn apply_wide<const W: usize>(state: &mut BatchState, op: &Op) {
             state.set_wide(b, xor(vb, va));
             state.set_wide(c, xor(vc, va));
         }
-        Gate::F2g(a, b, c) => {
+        OpKind::F2g => {
             let va = state.wide::<W>(a);
             state.xor_wide(b, va);
             state.xor_wide(c, va);
         }
-        Gate::Nft(a, b, c) => {
+        OpKind::Nft => {
             let (va, vb, vc) = (state.wide::<W>(a), state.wide::<W>(b), state.wide::<W>(c));
             let mut nb = va;
             let mut nc = vb;
@@ -265,7 +258,7 @@ pub(crate) fn apply_wide<const W: usize>(state: &mut BatchState, op: &Op) {
             state.set_wide(b, nb);
             state.set_wide(c, nc);
         }
-        Gate::NftInv(a, b, c) => {
+        OpKind::NftInv => {
             let (p, q, r) = (state.wide::<W>(a), state.wide::<W>(b), state.wide::<W>(c));
             let mut na = p;
             let mut nb = p;
@@ -278,51 +271,24 @@ pub(crate) fn apply_wide<const W: usize>(state: &mut BatchState, op: &Op) {
             state.set_wide(b, nb);
             state.set_wide(c, nc);
         }
-        Gate::Ig(a, b, c, d) => {
+        OpKind::Ig | OpKind::IgInv => {
+            // IG: c ^= a & b, d ^= a & !b; IG⁻¹ swaps the two terms.
             let (va, vb) = (state.wide::<W>(a), state.wide::<W>(b));
-            let mut rc = va;
-            let mut rd = va;
+            let mut both = va;
+            let mut only_a = va;
             for k in 0..W {
-                rc[k] = va[k] & vb[k];
-                rd[k] = va[k] & !vb[k];
+                both[k] = va[k] & vb[k];
+                only_a[k] = va[k] & !vb[k];
             }
+            let (rc, rd) = if kind == OpKind::Ig {
+                (both, only_a)
+            } else {
+                (only_a, both)
+            };
             state.set_wide(b, xor(va, vb));
             state.xor_wide(c, rc);
             state.xor_wide(d, rd);
         }
-        Gate::IgInv(a, b, c, d) => {
-            let (p, q) = (state.wide::<W>(a), state.wide::<W>(b));
-            let mut rc = p;
-            let mut rd = p;
-            for k in 0..W {
-                rc[k] = p[k] & !q[k];
-                rd[k] = p[k] & q[k];
-            }
-            state.set_wide(b, xor(p, q));
-            state.xor_wide(c, rc);
-            state.xor_wide(d, rd);
-        }
-    }
-}
-
-/// Blends the fault action of `op` into plane word `word`, assuming the
-/// *ideal* kernel has already been applied there: lanes in `fault` take
-/// the random bits `rand[k]` on the k-th support wire, other lanes keep
-/// the kernel output. Exactly [`apply_word_masked`]'s lane action,
-/// factored out so the wide runners can apply one vectorized ideal
-/// kernel across all words and pay the blend only on faulted words.
-#[inline]
-pub(crate) fn blend_faulted(
-    state: &mut BatchState,
-    op: &Op,
-    word: usize,
-    fault: u64,
-    rand: &[u64; 4],
-) {
-    let support = op.support();
-    for (k, &wire) in support.as_slice().iter().enumerate() {
-        let out = state.w(wire, word);
-        state.set_w(wire, word, (out & !fault) | (rand[k] & fault));
     }
 }
 

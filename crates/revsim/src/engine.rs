@@ -150,6 +150,7 @@ use rft_obs::{Collector, Gauge, Hist, Metric};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Trial count at which [`BackendKind::Auto`] switches from the scalar to
@@ -166,8 +167,10 @@ pub const DEFAULT_STRATA_CAP: u32 = 4;
 /// conditioning pays for its bookkeeping many times over.
 pub const STRATIFIED_ROUTING_THRESHOLD: f64 = 0.2;
 
-/// Upper bound on the doubling round size of the stratified word loop
-/// (bounds thread-spawn overhead without starving reallocation).
+/// Upper bound on the doubling round size of the stratified word loop.
+/// Words are reallocated across strata and the stopping rule is checked
+/// only between rounds, so the cap bounds how many words run on a stale
+/// allocation; doubling up to it amortizes the per-round apportioning.
 const MAX_ROUND_WORDS: u64 = 8192;
 
 /// Failures required before adaptive early stopping may trigger (below
@@ -294,9 +297,8 @@ pub(crate) fn run_masked_raw<R: RngCore + ?Sized>(
                 continue;
             }
             let mut rand_planes = [0u64; 4];
-            fill_fault_planes(op.arity(), fault, rng, &mut rand_planes);
+            report.fault_events += fill_fault_planes(op.arity(), fault, rng, &mut rand_planes);
             kernels::apply_word_masked(batch, op, word, fault, &rand_planes);
-            report.fault_events += fault.count_ones() as u64;
             report.faulted_lanes[word] |= fault;
         }
     }
@@ -320,29 +322,33 @@ fn check_masked(circuit: &Circuit, batch: &BatchState, masks: &[u64]) -> usize {
     words
 }
 
-/// Fills the per-support-wire random planes a masked op consumes. In the
-/// common sparse case — a single faulted lane — only `arity` random
-/// *bits* are needed, so one `u64` draw covers them; otherwise one full
-/// plane per support wire is drawn. Part of the shared backend schedule:
-/// every masked runner calls this in the same op order.
+/// Fills the per-support-wire random planes a masked op consumes, zero
+/// outside the faulted lanes, and returns the number of faulted lanes
+/// (`fault` must be nonzero). In the common sparse case — a single
+/// faulted lane — only `arity` random *bits* are needed, so one `u64`
+/// draw covers them (all four planes get one; those past `arity` go
+/// unused); otherwise one full plane per support wire is drawn. Part of
+/// the shared backend schedule: every masked runner calls this in the
+/// same op order.
 #[inline]
 pub(crate) fn fill_fault_planes<R: RngCore + ?Sized>(
     arity: usize,
     fault: u64,
     rng: &mut R,
     rand_planes: &mut [u64; 4],
-) {
-    if fault.count_ones() == 1 {
+) -> u64 {
+    if fault & (fault - 1) == 0 {
         let lane = fault.trailing_zeros();
         let bits = rng.next_u64();
-        for (k, plane) in rand_planes.iter_mut().enumerate().take(arity) {
+        for (k, plane) in rand_planes.iter_mut().enumerate() {
             *plane = ((bits >> k) & 1) << lane;
         }
-        return;
+        return 1;
     }
     for plane in rand_planes.iter_mut().take(arity) {
-        *plane = rng.next_u64();
+        *plane = rng.next_u64() & fault;
     }
+    u64::from(fault.count_ones())
 }
 
 /// Scalar twin of [`run_masked_raw`]: unpacks every lane into a
@@ -372,7 +378,7 @@ pub(crate) fn run_masked_scalar<R: RngCore + ?Sized>(
                 continue;
             }
             let mut rand_planes = [0u64; 4];
-            fill_fault_planes(op.arity(), fault, rng, &mut rand_planes);
+            report.fault_events += fill_fault_planes(op.arity(), fault, rng, &mut rand_planes);
             for (lane, state) in states.iter_mut().enumerate() {
                 if (fault >> lane) & 1 == 1 {
                     let mut pattern = 0u8;
@@ -384,7 +390,6 @@ pub(crate) fn run_masked_scalar<R: RngCore + ?Sized>(
                     op.apply(state);
                 }
             }
-            report.fault_events += fault.count_ones() as u64;
             report.faulted_lanes[word] |= fault;
         }
     }
@@ -986,13 +991,13 @@ impl Engine {
         outcome
     }
 
-    /// Runs the words `start ..` covered by `schedules`, split
-    /// contiguously across `threads`, returning per-slot `(failures,
-    /// executed_trials)` tallies and the extras. Each worker opens an
-    /// `engine.words` span on its own thread so the trace attributes
-    /// word-loop time to the thread that spent it; the split itself never
-    /// consults the collector. Each worker taps into its own fork of
-    /// `tap`, folded back in worker order.
+    /// Runs the words `start ..` covered by `schedules` on up to
+    /// `threads` workers claiming chunks of words, returning per-slot
+    /// `(failures, executed_trials)` tallies and the extras. Each worker
+    /// opens an `engine.words` span on its own thread (the split never
+    /// consults the collector) and taps into its own fork of `tap`. A
+    /// word's result depends on `(seed, word index)` alone and tallies
+    /// are integer sums, so who ran which chunk never shows.
     #[allow(clippy::too_many_arguments)]
     fn run_word_span<T: WordTrial + ?Sized, K: InitTap>(
         &self,
@@ -1006,28 +1011,30 @@ impl Engine {
         tap: &mut K,
     ) -> (Vec<(u64, u64)>, WordExtras) {
         let span = schedules.len();
-        if threads <= 1 || span <= 1 {
+        let width = match backend {
+            ExecPath::Batch { width } => width as u64,
+            ExecPath::Scalar => 1,
+        };
+        let chunks = Chunks::new(span, threads as u64, width);
+        let workers = chunks.count().min(threads as u64);
+        if workers <= 1 {
             let _s = obs.span("engine.words");
-            return self.run_word_range(backend, trial, opts, start, schedules, tap);
+            return self.run_word_range(backend, trial, opts, start, schedules, &chunks, tap);
         }
-        let threads = (threads as u64).min(span);
-        let per = span / threads;
-        let extra = span % threads;
         let results: Vec<_> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut first = 0u64;
-            for t in 0..threads {
-                let n = per + u64::from(t < extra);
-                let lo = first;
-                first += n;
-                let part = schedules.sub(lo, lo + n);
-                let mut fork = tap.fork();
-                handles.push(scope.spawn(move || {
-                    let _s = obs.span("engine.words");
-                    let r = self.run_word_range(backend, trial, opts, start + lo, part, &mut fork);
-                    (r, fork)
-                }));
-            }
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let mut fork = tap.fork();
+                    let chunks = &chunks;
+                    scope.spawn(move || {
+                        let _s = obs.span("engine.words");
+                        let r = self.run_word_range(
+                            backend, trial, opts, start, schedules, chunks, &mut fork,
+                        );
+                        (r, fork)
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("trial thread panicked"))
@@ -1043,8 +1050,9 @@ impl Engine {
         (tallies, extras)
     }
 
-    /// Runs the words `start ..` covered by `schedules` sequentially, at
-    /// the width of the execution path.
+    /// Runs the chunks of the words `start ..` covered by `schedules`
+    /// that this worker claims, at the width of the execution path.
+    #[allow(clippy::too_many_arguments)]
     fn run_word_range<T: WordTrial + ?Sized, K: InitTap>(
         &self,
         backend: ExecPath,
@@ -1052,26 +1060,29 @@ impl Engine {
         opts: &McOptions,
         start: u64,
         schedules: Schedules<'_>,
+        chunks: &Chunks,
         tap: &mut K,
     ) -> (Vec<(u64, u64)>, WordExtras) {
         match backend {
             ExecPath::Batch { width: 2 } => {
-                self.run_words::<T, K, 2>(backend, trial, opts, start, schedules, tap)
+                self.run_words::<T, K, 2>(backend, trial, opts, start, schedules, chunks, tap)
             }
             ExecPath::Batch { width: 4 } => {
-                self.run_words::<T, K, 4>(backend, trial, opts, start, schedules, tap)
+                self.run_words::<T, K, 4>(backend, trial, opts, start, schedules, chunks, tap)
             }
-            _ => self.run_words::<T, K, 1>(backend, trial, opts, start, schedules, tap),
+            _ => self.run_words::<T, K, 1>(backend, trial, opts, start, schedules, chunks, tap),
         }
     }
 
-    /// The word loop of every estimator, `W` logical words per batch.
-    /// Each word's RNG stream, seeded from `(opts.seed, word index)`,
-    /// prepares the word's inputs, draws its fault schedule from the
-    /// fault source, then the fault planes of the masked run: on the
-    /// compiled micro-op program, or on the scalar path (`W = 1`) on the
-    /// per-lane reference. A word's stream and lanes are therefore the
-    /// same at any width, thread count and path.
+    /// The word loop of every estimator, `W` logical words per batch,
+    /// over the chunks this worker claims (its buffers are allocated once
+    /// for all of them). Each word's RNG stream, seeded from `(opts.seed,
+    /// word index)`, prepares the word's inputs, draws its fault schedule
+    /// from the fault source, then the fault planes of the masked run: on
+    /// the compiled micro-op program, or on the scalar path (`W = 1`) on
+    /// the per-lane reference. A word's stream and lanes are therefore the
+    /// same at any width, thread count, chunking and path.
+    #[allow(clippy::too_many_arguments)]
     fn run_words<T: WordTrial + ?Sized, K: InitTap, const W: usize>(
         &self,
         backend: ExecPath,
@@ -1079,6 +1090,7 @@ impl Engine {
         opts: &McOptions,
         start: u64,
         schedules: Schedules<'_>,
+        chunks: &Chunks,
         tap: &mut K,
     ) -> (Vec<(u64, u64)>, WordExtras) {
         let scalar = backend == ExecPath::Scalar;
@@ -1096,71 +1108,84 @@ impl Engine {
         let judge_faulted_only = !trial.fault_free_can_fail();
         let mut tallies = vec![(0u64, 0u64); schedules.slots()];
         let mut extras = WordExtras::default();
-        let n = schedules.len();
-        let mut i = 0u64;
-        while i < n {
-            if n - i < W as u64 {
-                // Remainder words run at width 1 — bit-identical, since
-                // every word owns its RNG stream regardless of grouping.
-                let rest = schedules.sub(i, n);
-                let (part, x) =
-                    self.run_words::<T, K, 1>(backend, trial, opts, start + i, rest, tap);
-                add_tallies(&mut tallies, &part);
-                extras.merge(x);
-                break;
-            }
-            let word = start + i;
-            let mut rngs: [SmallRng; W] = std::array::from_fn(|k| {
-                SmallRng::seed_from_u64(
-                    opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + k as u64 + 1),
-                )
-            });
-            masks.fill(0);
-            wide.clear();
-            for (k, rng) in rngs.iter_mut().enumerate() {
-                trial.prepare(&mut wide, k, rng, &mut inputs[k]);
-                extras.mask_draws += schedules.draw(source, i + k as u64, rng, &mut masks, W, k);
-            }
-            let valid: [u64; W] =
-                std::array::from_fn(|k| valid_lanes(opts.trials, word + k as u64));
-            tap.start(&valid);
-            let outcome = match program {
-                Some(program) => microop::run_masked_wide::<W, K>(
-                    program,
-                    &mut wide,
-                    &masks,
-                    &mut rngs,
-                    &mut scratch,
-                    tap,
-                ),
-                None => {
-                    let report = run_masked_scalar(&self.circuit, &mut wide, &masks, &mut rngs[0]);
-                    WideOutcome {
-                        faulted: std::array::from_fn(|k| report.faulted_lanes[k]),
-                        fault_events: report.fault_events,
-                        fused_segments: 0,
-                        replayed_segments: 0,
+        while let Some((lo, hi)) = chunks.claim() {
+            let mut i = lo;
+            while i < hi {
+                if hi - i < W as u64 {
+                    // Remainder words (chunks are multiples of `W`, so
+                    // only the span's last) run at width 1 —
+                    // bit-identical, since every word owns its RNG stream
+                    // regardless of grouping.
+                    let rest = schedules.sub(i, hi);
+                    let (part, x) = self.run_words::<T, K, 1>(
+                        backend,
+                        trial,
+                        opts,
+                        start + i,
+                        rest,
+                        &Chunks::new(hi - i, 1, 1),
+                        tap,
+                    );
+                    add_tallies(&mut tallies, &part);
+                    extras.merge(x);
+                    break;
+                }
+                let word = start + i;
+                let mut rngs: [SmallRng; W] = std::array::from_fn(|k| {
+                    SmallRng::seed_from_u64(
+                        opts.seed ^ WORD_SEED_STRIDE.wrapping_mul(word + k as u64 + 1),
+                    )
+                });
+                masks.fill(0);
+                wide.clear();
+                for (k, rng) in rngs.iter_mut().enumerate() {
+                    trial.prepare(&mut wide, k, rng, &mut inputs[k]);
+                    extras.mask_draws +=
+                        schedules.draw(source, i + k as u64, rng, &mut masks, W, k);
+                }
+                let valid: [u64; W] =
+                    std::array::from_fn(|k| valid_lanes(opts.trials, word + k as u64));
+                tap.start(&valid);
+                let outcome = match program {
+                    Some(program) => microop::run_masked_wide::<W, K>(
+                        program,
+                        &mut wide,
+                        &masks,
+                        &mut rngs,
+                        &mut scratch,
+                        tap,
+                    ),
+                    None => {
+                        let report =
+                            run_masked_scalar(&self.circuit, &mut wide, &masks, &mut rngs[0]);
+                        WideOutcome {
+                            faulted: std::array::from_fn(|k| report.faulted_lanes[k]),
+                            fault_events: report.fault_events,
+                            fused_segments: 0,
+                            replayed_segments: 0,
+                        }
                     }
-                }
-            };
-            extras.fault_events += outcome.fault_events;
-            extras.fused_segments += outcome.fused_segments;
-            extras.replayed_segments += outcome.replayed_segments;
-            for (k, word_inputs) in inputs.iter().enumerate() {
-                let valid = valid[k];
-                extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
-                let candidates = if judge_faulted_only {
-                    outcome.faulted[k] & valid
-                } else {
-                    valid
                 };
-                let tally = &mut tallies[schedules.slot(i + k as u64)];
-                if candidates != 0 {
-                    tally.0 += trial.judge(&wide, k, word_inputs, candidates).count_ones() as u64;
+                extras.fault_events += outcome.fault_events;
+                extras.fused_segments += outcome.fused_segments;
+                extras.replayed_segments += outcome.replayed_segments;
+                for (k, word_inputs) in inputs.iter().enumerate() {
+                    let valid = valid[k];
+                    extras.faulted_lanes += (outcome.faulted[k] & valid).count_ones() as u64;
+                    let candidates = if judge_faulted_only {
+                        outcome.faulted[k] & valid
+                    } else {
+                        valid
+                    };
+                    let tally = &mut tallies[schedules.slot(i + k as u64)];
+                    if candidates != 0 {
+                        tally.0 +=
+                            trial.judge(&wide, k, word_inputs, candidates).count_ones() as u64;
+                    }
+                    tally.1 += valid.count_ones() as u64;
                 }
-                tally.1 += valid.count_ones() as u64;
+                i += W as u64;
             }
-            i += W as u64;
         }
         (tallies, extras)
     }
@@ -1454,6 +1479,48 @@ impl Schedules<'_> {
                 source.conditioned(faults, rng, masks, stride, slot)
             }
         }
+    }
+}
+
+/// The words `0 .. end` of one span, dealt to workers in chunks from a
+/// shared counter.
+#[derive(Debug)]
+struct Chunks {
+    next: AtomicU64,
+    size: u64,
+    end: u64,
+}
+
+impl Chunks {
+    /// Cuts `span` words for `threads` workers at word width `width`:
+    /// about eight chunks per worker, so one that draws cheap words
+    /// (stratified spans run stratum by stratum, higher strata cost more)
+    /// takes more chunks; at most 64 words each, so long spans balance
+    /// too. Sizes are multiples of `width`: only the last chunk can leave
+    /// a remainder.
+    fn new(span: u64, threads: u64, width: u64) -> Chunks {
+        let size = span
+            .div_ceil(threads.max(1) * 8)
+            .clamp(1, 64)
+            .next_multiple_of(width);
+        Chunks {
+            next: AtomicU64::new(0),
+            size,
+            end: span,
+        }
+    }
+
+    /// Number of chunks.
+    fn count(&self) -> u64 {
+        self.end.div_ceil(self.size)
+    }
+
+    /// Claims the next unclaimed chunk `[lo, hi)`, if any.
+    fn claim(&self) -> Option<(u64, u64)> {
+        // Relaxed: the counter publishes no data; results come back
+        // through the workers' joins.
+        let lo = self.next.fetch_add(self.size, Ordering::Relaxed);
+        (lo < self.end).then(|| (lo, (lo + self.size).min(self.end)))
     }
 }
 
@@ -2996,6 +3063,60 @@ mod tests {
         let scalar = engine.estimate(&trial, &base.backend(BackendKind::Scalar).threads(2));
         assert_eq!(a.failures, scalar.failures, "backend identical");
         assert_eq!(a.strata, scalar.strata);
+    }
+
+    #[test]
+    fn outcomes_are_invariant_under_chunked_scheduling() {
+        // Workers claim chunks of a span in whatever order they get to
+        // them; every outcome must still be a function of the seed alone.
+        let mut c = permutation_circuit();
+        c.toffoli(w(0), w(3), w(5))
+            .cnot(w(1), w(4))
+            .maj_inv(w(2), w(0), w(4))
+            .fredkin(w(5), w(1), w(3))
+            .maj(w(2), w(0), w(4));
+        let engine = Engine::compile(&c, &UniformNoise::new(0.02));
+        let trial = PermTrial::new(&c);
+        // Ten words at width 4 make three chunks, fewer than seven workers.
+        assert!(Chunks::new(10, 7, 4).count() < 7);
+        let stratified = McOptions::new(40_000).estimator(Estimator::DEFAULT_STRATIFIED);
+        let runs = [
+            McOptions::new(640),
+            McOptions::new(150),
+            McOptions::new(60_000),
+            McOptions::new(400_000).target_rel_error(0.1),
+            stratified,
+            stratified.width(WordWidth::W1),
+        ];
+        for opts in runs {
+            let opts = opts.seed(9).backend(BackendKind::Batch);
+            let one = engine.estimate(&trial, &opts.threads(1));
+            for threads in [2, 3, 7] {
+                let many = engine.estimate(&trial, &opts.threads(threads));
+                assert_eq!(many, one, "{threads} threads, {opts:?}");
+            }
+            if opts.target_rel_error.is_some() {
+                assert!(one.early_stopped, "{one:?}");
+            }
+        }
+        // Several stratified rounds, whose strata differ in fault count
+        // and so in cost per word.
+        let strat = engine.estimate(&trial, &stratified.seed(9));
+        assert!(strat.executed_words > 2 * ADAPTIVE_ROUND_WORDS);
+        assert!(strat.strata.iter().filter(|s| s.trials > 0).count() > 1);
+
+        let c = recovery_like_circuit();
+        let engine = Engine::compile(&c, &UniformNoise::new(0.05));
+        let input = BitState::zeros(9);
+        for trials in [150, 640, 20_000] {
+            let opts = McOptions::new(trials).seed(4);
+            let obs = Collector::disabled();
+            let one = engine.tally_resets(&input, &opts.threads(1), &obs);
+            for threads in [2, 3, 7] {
+                let many = engine.tally_resets(&input, &opts.threads(threads), &obs);
+                assert_eq!(many, one, "{threads} threads, {trials} trials");
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Compiled micro-op IR: linear-segment fusion with exact GF(2) fault
 //! propagation, and the wide-word batch runners built on it.
 //!
-//! The engine's word loops used to execute the *raw* flattened [`Op`]
-//! stream one gate at a time — one enum dispatch, one support lookup and
-//! one plane read-modify-write bundle per operation per 64-lane word.
-//! This module lowers the stream once, at compile time, into a micro-op
-//! program:
+//! Every word loop of the engine — plain and stratified estimates and
+//! the reset tally — runs a word's precomputed fault schedule on the
+//! program this module lowers the flattened [`Op`] stream into, once, at
+//! compile time:
 //!
 //! - **Native micro-ops** — nonlinear gates (Toffoli, Fredkin, MAJ,
-//!   MAJ⁻¹) and unfused linear ops, executed by the branch-free plane
-//!   kernels, now over *wide words* (`[u64; W]`, `W ∈ {1, 2, 4}`: `W`
-//!   consecutive 64-lane logical words in the flat wire-major layout, so
-//!   the element-wise logic autovectorizes).
+//!   MAJ⁻¹) and unfused linear ops, pre-decoded into their kind and
+//!   support wires and executed by branch-free plane kernels over *wide
+//!   words* (`[u64; W]`, `W ∈ {1, 2, 4}`: `W` consecutive 64-lane logical
+//!   words in the flat wire-major layout, so the element-wise logic
+//!   autovectorizes).
 //! - **Affine segments** — maximal runs of ops that act *affinely over
 //!   GF(2)* fused into a single transform: per touched wire one
 //!   XOR-of-inputs mask plus a constant bit, applied in one pass however
@@ -60,11 +60,21 @@
 //!
 //! **Replay segments** (at least one constant-specialized MAJ/MAJ⁻¹).
 //! The specialization holds only on the ideal trajectory, which a fault
-//! leaves — so a logical word with any fault in the segment restores the
-//! touched planes from the input snapshot and re-executes the original
-//! ops natively with the already-drawn masks, which *is* unfused
-//! execution. Fault-free words (the common case deep below threshold)
-//! still take the one-pass affine transform.
+//! leaves — so when any of the `W` words has a fault in the segment, the
+//! segment re-executes its original ops as native micro-ops, which *is*
+//! unfused execution. Schedules clean over the segment (the common case
+//! deep below threshold) still take the one-pass affine transform.
+//!
+//! # Faulted native ops
+//!
+//! A native op runs its ideal kernel on all `W` words. If its schedule
+//! faults any of them, each faulted word draws its random planes from its
+//! own RNG — in op order, as the raw loop does — into a pre-masked
+//! `[[u64; W]; 4]` (zero outside the word's faulted lanes), and every
+//! support wire is then blended across all `W` words at once:
+//! `v = (v & !f) | r`. A clean word blends with a zero mask, so a faulted
+//! op costs one wide blend per support wire with no gate dispatch; only
+//! the plane draws depend on which words faulted.
 //!
 //! Both modes are pinned lane-for-lane against the raw loop by the
 //! property tests in `tests/microop_fusion.rs`. Fusion also falls back
@@ -79,7 +89,7 @@
 use crate::batch::{kernels, BatchState};
 use crate::circuit::Circuit;
 use crate::engine::{fill_fault_planes, FaultTable};
-use crate::gate::Gate;
+use crate::gate::{Gate, OpKind};
 use crate::op::Op;
 use crate::tap::InitTap;
 use crate::wire::Wire;
@@ -116,15 +126,32 @@ pub(crate) enum MicroOp {
     Affine(u32),
 }
 
-/// A native micro-op: the original op plus its fault site.
-#[derive(Debug, Clone)]
+/// A native micro-op, pre-decoded: the op's kind and its support wires,
+/// so a faulted op blends its support without a gate dispatch.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct NativeOp {
-    /// The original operation (drives the shared plane kernels).
-    pub op: Op,
+    /// Selects the plane kernel.
+    pub kind: OpKind,
+    /// Support size (how many random planes a fault consumes).
+    pub arity: u8,
     /// Index of the op in the original stream (its fault site).
     pub op_index: u32,
-    /// Precomputed support size.
-    pub arity: u8,
+    /// Support wires in [`Op::support`] order (slots past `arity` unused).
+    pub wires: [Wire; 4],
+}
+
+impl NativeOp {
+    fn decode(op: &Op, op_index: usize) -> NativeOp {
+        let support = op.support();
+        let mut wires = [Wire::new(0); 4];
+        wires[..support.len()].copy_from_slice(support.as_slice());
+        NativeOp {
+            kind: op.kind(),
+            arity: support.len() as u8,
+            op_index: op_index as u32,
+            wires,
+        }
+    }
 }
 
 /// One output row of a fused segment: `out = XOR(inputs in mask) ⊕ konst`.
@@ -147,7 +174,7 @@ pub(crate) struct Gather {
     pub konst: bool,
 }
 
-/// The fault bookkeeping of one original op inside a fused segment.
+/// The fault bookkeeping of one original op inside a patch segment.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultSite {
     /// Index of the op in the original stream.
@@ -155,10 +182,10 @@ pub(crate) struct FaultSite {
     /// Support size (how many random planes a fault consumes).
     pub arity: u8,
     /// Per support wire: the would-be ideal post-op value as a function
-    /// of the boundary (`Suf_t⁻¹` rows; patch mode only).
+    /// of the boundary (`Suf_t⁻¹` rows).
     pub gathers: [Gather; 4],
     /// Per support wire: boundary wires an injected flip reaches
-    /// (`Suf_t` columns; patch mode only).
+    /// (`Suf_t` columns).
     pub scatters: [u64; 4],
 }
 
@@ -166,19 +193,19 @@ pub(crate) struct FaultSite {
 #[derive(Debug, Clone)]
 pub(crate) enum FaultMode {
     /// Every op is affine for all inputs: faults are pushed to the
-    /// boundary through the per-site gather/scatter pairs.
-    Patch,
-    /// Contains constant-specialized MAJ/MAJ⁻¹ ops: a faulted word
-    /// restores its input snapshot and replays these original ops
-    /// natively.
-    Replay(Vec<Op>),
+    /// boundary through these per-site gather/scatter pairs, one site per
+    /// original op in op order.
+    Patch(Vec<FaultSite>),
+    /// Contains constant-specialized MAJ/MAJ⁻¹ ops: a faulted schedule
+    /// replays these original ops natively, in op order.
+    Replay(Vec<NativeOp>),
 }
 
 /// A fused run of (contextually) affine ops.
 #[derive(Debug, Clone)]
 pub(crate) struct AffineSegment {
     /// First original op covered (the segment covers `start ..
-    /// start + sites.len()` — fused runs are contiguous in the stream).
+    /// start + len()` — fused runs are contiguous in the stream).
     pub start: u32,
     /// Wires the segment touches, in first-touch order (≤ 64).
     pub wires: Vec<u32>,
@@ -189,10 +216,18 @@ pub(crate) struct AffineSegment {
     /// readable from the batch — identity rows are never written, and a
     /// faulted replay word never takes the fast path at all).
     pub snap_mask: u64,
-    /// One fault site per original op in the run, in op order.
-    pub sites: Vec<FaultSite>,
     /// Fault strategy.
     pub mode: FaultMode,
+}
+
+impl AffineSegment {
+    /// Original ops covered.
+    fn len(&self) -> usize {
+        match &self.mode {
+            FaultMode::Patch(sites) => sites.len(),
+            FaultMode::Replay(ops) => ops.len(),
+        }
+    }
 }
 
 /// The compiled program: the micro-op stream plus its compile-pass stats.
@@ -207,13 +242,16 @@ pub(crate) struct CompiledOps {
 impl CompiledOps {
     /// Approximate heap footprint (size input of cache eviction).
     pub(crate) fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
+        use std::mem::{size_of, size_of_val};
         let mut bytes = size_of::<CompiledOps>() + self.micro.len() * size_of::<MicroOp>();
         for seg in &self.segments {
             bytes += size_of::<AffineSegment>()
                 + seg.wires.len() * size_of::<u32>()
                 + seg.rows.len() * size_of::<Row>()
-                + seg.sites.len() * size_of::<FaultSite>();
+                + match &seg.mode {
+                    FaultMode::Patch(sites) => size_of_val::<[FaultSite]>(sites),
+                    FaultMode::Replay(ops) => size_of_val::<[NativeOp]>(ops),
+                };
         }
         bytes
     }
@@ -313,7 +351,7 @@ pub(crate) fn lower(circuit: &Circuit, table: &FaultTable, split_inits: bool) ->
                 i = end;
             }
             None => {
-                micro.push(native(ops, i));
+                micro.push(MicroOp::Native(NativeOp::decode(&ops[i], i)));
                 i += 1;
             }
         }
@@ -324,14 +362,6 @@ pub(crate) fn lower(circuit: &Circuit, table: &FaultTable, split_inits: bool) ->
         segments,
         stats,
     }
-}
-
-fn native(ops: &[Op], i: usize) -> MicroOp {
-    MicroOp::Native(NativeOp {
-        op: ops[i],
-        op_index: i as u32,
-        arity: ops[i].arity() as u8,
-    })
 }
 
 /// A symbolic affine value: XOR of wire positions plus a constant.
@@ -616,17 +646,6 @@ fn scan_segment(
             break (scan.wires, None);
         }
 
-        let mut sites: Vec<FaultSite> = ops[start..end]
-            .iter()
-            .enumerate()
-            .map(|(i, op)| FaultSite {
-                op_index: (start + i) as u32,
-                arity: op.arity() as u8,
-                gathers: [Gather::default(); 4],
-                scatters: [0u64; 4],
-            })
-            .collect();
-
         // The fast path reads exactly the union of the non-identity row
         // masks; everything else stays readable from the batch (identity
         // rows are never written, and replay words defer their writes).
@@ -642,8 +661,9 @@ fn scan_segment(
                 wires: scan.wires.clone(),
                 rows,
                 snap_mask,
-                sites,
-                mode: FaultMode::Replay(ops[start..end].to_vec()),
+                mode: FaultMode::Replay(
+                    (start..end).map(|i| NativeOp::decode(&ops[i], i)).collect(),
+                ),
             };
             break (scan.wires, Some((seg, end, scan.specialized)));
         }
@@ -652,6 +672,16 @@ fn scan_segment(
         // (`Suf_t⁻¹`) and scatter columns (`Suf_t`). `v[p] = None` marks
         // a value a later INIT destroyed; hitting one at a site
         // truncates the segment right before that INIT and rescans.
+        let mut sites: Vec<FaultSite> = ops[start..end]
+            .iter()
+            .enumerate()
+            .map(|(i, op)| FaultSite {
+                op_index: (start + i) as u32,
+                arity: op.arity() as u8,
+                gathers: [Gather::default(); 4],
+                scatters: [0u64; 4],
+            })
+            .collect();
         match backward_pass(ops, start, end, scan.wires.len(), pos_of, &mut sites) {
             Ok(()) => {
                 let seg = AffineSegment {
@@ -659,8 +689,7 @@ fn scan_segment(
                     wires: scan.wires.clone(),
                     rows,
                     snap_mask,
-                    sites,
-                    mode: FaultMode::Patch,
+                    mode: FaultMode::Patch(sites),
                 };
                 break (scan.wires, Some((seg, end, 0)));
             }
@@ -809,30 +838,13 @@ fn backward_pass(
 // Wide runners
 // ---------------------------------------------------------------------------
 
-/// One pending fault inside the segment currently being executed.
-#[derive(Debug, Clone, Copy)]
-struct FaultEvent {
-    /// Which of the `W` logical words the fault belongs to.
-    word: u8,
-    /// Index into the segment's `sites`.
-    site: u32,
-    /// 64-lane fault mask.
-    mask: u64,
-    /// Random planes (one per support wire).
-    planes: [u64; 4],
-}
-
-/// Reusable buffers for the wide runners (allocated once per word range).
+/// Reusable buffers for the wide runners (allocated once per worker).
 #[derive(Debug, Default)]
 pub(crate) struct ExecScratch {
     /// Snapshot of the segment's input planes (flat: `position * W + w`).
     inp: Vec<u64>,
     /// Projected boundary planes (flat, same layout).
     boundary: Vec<u64>,
-    /// Faults collected from the schedule of the current segment.
-    events: Vec<FaultEvent>,
-    /// Per-site `(mask, planes)` of the word being replayed.
-    replay: Vec<(u64, [u64; 4])>,
 }
 
 /// Per-word outcome of a wide run.
@@ -854,8 +866,8 @@ pub(crate) struct WideOutcome<const W: usize> {
 /// Runs the compiled program over a `W`-word wide batch under a
 /// **precomputed** fault-mask schedule in the flat wide layout:
 /// `masks[i * W + w]` = lanes in which op `i` faults in logical word `w`
-/// (one contiguous load per op) — the stratified estimator's conditional
-/// execution path. Random planes are drawn from each word's RNG in op
+/// (one contiguous load per op) — the word loop of every estimator and of
+/// the reset tally. Random planes are drawn from each word's RNG in op
 /// order via the shared sparse
 /// [`fill_fault_planes`](crate::engine::fill_fault_planes) schedule, so
 /// the result is bit-identical to `W` single-word
@@ -879,220 +891,175 @@ pub(crate) fn run_masked_wide<const W: usize, K: InitTap>(
     };
     for (mi, mop) in compiled.micro.iter().enumerate() {
         tap.before::<W>(mi, batch);
-        match mop {
+        let seg = match mop {
             MicroOp::Native(nat) => {
-                masked_native::<W>(
-                    &nat.op,
-                    nat.op_index,
-                    nat.arity,
-                    batch,
-                    masks,
-                    rngs,
-                    &mut out,
-                );
+                masked_native::<W>(nat, batch, masks, rngs, &mut out);
+                continue;
             }
-            MicroOp::Affine(seg) => {
-                let seg = &compiled.segments[*seg as usize];
-                // Pre-scan the schedule in one contiguous pass (fused
-                // runs cover consecutive ops): a clean segment collapses
-                // to the one-pass affine transform.
-                let lo = seg.start as usize * W;
-                let hi = lo + seg.sites.len() * W;
-                let clean = masks[lo..hi].iter().fold(0u64, |a, &m| a | m) == 0;
-                if clean {
-                    scratch.events.clear();
-                    apply_segment::<W>(seg, batch, scratch, &mut out);
-                    continue;
+            MicroOp::Affine(seg) => &compiled.segments[*seg as usize],
+        };
+        // Pre-scan the schedule in one contiguous pass (fused runs cover
+        // consecutive ops): a clean segment collapses to the one-pass
+        // affine transform.
+        let lo = seg.start as usize * W;
+        let hi = lo + seg.len() * W;
+        if masks[lo..hi].iter().fold(0u64, |a, &m| a | m) == 0 {
+            out.fused_segments += 1;
+            apply_affine::<W>(seg, batch, scratch);
+            continue;
+        }
+        match &seg.mode {
+            FaultMode::Replay(ops) => {
+                // The schedule left the ideal trajectory the
+                // specialization assumed: run the original ops natively
+                // (that *is* unfused execution). The batch still holds
+                // the pre-segment planes, so no restore is needed.
+                out.replayed_segments += 1;
+                for nat in ops {
+                    masked_native::<W>(nat, batch, masks, rngs, &mut out);
                 }
-                match &seg.mode {
-                    FaultMode::Replay(ops) => {
-                        // A schedule left the ideal trajectory: run the
-                        // original ops natively (wide kernel + blend) —
-                        // plane draws stay in op order per word.
-                        out.replayed_segments += 1;
-                        for (site, op) in seg.sites.iter().zip(ops) {
-                            masked_native::<W>(
-                                op,
-                                site.op_index,
-                                site.arity,
-                                batch,
-                                masks,
-                                rngs,
-                                &mut out,
-                            );
-                        }
-                    }
-                    FaultMode::Patch => {
-                        scratch.events.clear();
-                        for (si, site) in seg.sites.iter().enumerate() {
-                            let i = site.op_index as usize;
-                            let arity = site.arity as usize;
-                            for (w, rng) in rngs.iter_mut().enumerate() {
-                                let mask = masks[i * W + w];
-                                if mask == 0 {
-                                    continue;
-                                }
-                                let mut planes = [0u64; 4];
-                                fill_fault_planes(arity, mask, rng, &mut planes);
-                                scratch.events.push(FaultEvent {
-                                    word: w as u8,
-                                    site: si as u32,
-                                    mask,
-                                    planes,
-                                });
-                            }
-                        }
-                        apply_segment::<W>(seg, batch, scratch, &mut out);
-                    }
-                }
+            }
+            FaultMode::Patch(sites) => {
+                out.fused_segments += 1;
+                patch_segment::<W>(seg, sites, batch, masks, rngs, scratch, &mut out);
             }
         }
     }
     out
 }
 
-/// One op of the masked runner: vectorized ideal kernel for all words,
-/// then the per-lane fault blend on scheduled words (planes drawn from
-/// each word's RNG in op order via the shared sparse schedule).
-#[inline]
+/// One native op of the masked runner (see *Faulted native ops* in the
+/// module docs).
+#[inline(always)]
 fn masked_native<const W: usize>(
-    op: &Op,
-    op_index: u32,
-    arity: u8,
+    nat: &NativeOp,
     batch: &mut BatchState,
     masks: &[u64],
     rngs: &mut [SmallRng; W],
     out: &mut WideOutcome<W>,
 ) {
-    let i = op_index as usize;
-    let mut fmasks = [0u64; W];
-    fmasks.copy_from_slice(&masks[i * W..i * W + W]);
-    let mut any = 0u64;
-    for &m in &fmasks {
-        any |= m;
-    }
-    kernels::apply_wide::<W>(batch, op);
-    if any == 0 {
+    let i = nat.op_index as usize;
+    let arity = nat.arity as usize;
+    let mut fault = [0u64; W];
+    fault.copy_from_slice(&masks[i * W..i * W + W]);
+    kernels::apply_wide::<W>(batch, nat.kind, &nat.wires, arity);
+    if fault.iter().fold(0u64, |a, &m| a | m) == 0 {
         return;
     }
-    let arity = arity as usize;
-    for (w, rng) in rngs.iter_mut().enumerate() {
-        if fmasks[w] != 0 {
-            let mut rand_planes = [0u64; 4];
-            fill_fault_planes(arity, fmasks[w], rng, &mut rand_planes);
-            kernels::blend_faulted(batch, op, w, fmasks[w], &rand_planes);
-            out.fault_events += fmasks[w].count_ones() as u64;
-            out.faulted[w] |= fmasks[w];
+    // Bit `w`: word `w` faults here. Walking only these words costs one
+    // loop exit per op where a branch per word would mispredict on
+    // sparse schedules.
+    let mut words = 0u32;
+    for (w, &f) in fault.iter().enumerate() {
+        words |= u32::from(f != 0) << w;
+    }
+    // rand[k][w]: the random plane of support wire k in word w, zero
+    // outside the word's faulted lanes.
+    let mut rand = [[0u64; W]; 4];
+    while words != 0 {
+        let w = words.trailing_zeros() as usize;
+        words &= words - 1;
+        let mut planes = [0u64; 4];
+        out.fault_events += fill_fault_planes(arity, fault[w], &mut rngs[w], &mut planes);
+        for (r, p) in rand.iter_mut().zip(planes) {
+            r[w] = p;
         }
+    }
+    for (acc, f) in out.faulted.iter_mut().zip(fault) {
+        *acc |= f;
+    }
+    for (&wire, r) in nat.wires[..arity].iter().zip(&rand) {
+        let mut v = batch.wide::<W>(wire);
+        for w in 0..W {
+            v[w] = (v[w] & !fault[w]) | r[w];
+        }
+        batch.set_wide(wire, v);
     }
 }
 
-/// Applies one fused segment to the wide batch: the one-pass affine
-/// transform, then — per collected fault event, in op order per word
-/// (`scratch.events` is pushed site-major, which preserves that order
-/// within each word) — either the gather → inject → scatter patch or the
-/// native replay of the faulted words.
-fn apply_segment<const W: usize>(
+/// The clean fast path of a fused segment: snapshot the planes the rows
+/// read (rows may overwrite wires they read), then emit the non-identity
+/// rows straight into the batch.
+fn apply_affine<const W: usize>(
     seg: &AffineSegment,
     batch: &mut BatchState,
+    scratch: &mut ExecScratch,
+) {
+    snapshot::<W>(seg, batch, scratch);
+    for (p, row) in seg.rows.iter().enumerate() {
+        if row.identity {
+            continue;
+        }
+        let acc = eval_row::<W>(row.mask, row.konst, &scratch.inp);
+        batch.set_wide(Wire::new(seg.wires[p]), acc);
+    }
+}
+
+/// Applies one faulted patch segment: the one-pass affine transform into
+/// the projected boundary, then the gather → inject → scatter patch of
+/// every scheduled `(site, word)` in op order, each faulted word drawing
+/// its planes from its own RNG.
+fn patch_segment<const W: usize>(
+    seg: &AffineSegment,
+    sites: &[FaultSite],
+    batch: &mut BatchState,
+    masks: &[u64],
+    rngs: &mut [SmallRng; W],
     scratch: &mut ExecScratch,
     out: &mut WideOutcome<W>,
 ) {
     let n = seg.wires.len();
-    if scratch.events.is_empty() {
-        // Fast path: snapshot the planes the rows read (rows may
-        // overwrite wires they read), then emit the non-identity rows
-        // straight into the batch.
-        out.fused_segments += 1;
-        snapshot::<W>(seg, batch, scratch);
-        for (p, row) in seg.rows.iter().enumerate() {
-            if row.identity {
+    // Materialize the projected boundary for every wire, patch it per
+    // event, then store it back. Identity rows read their (still
+    // unwritten) planes directly.
+    snapshot::<W>(seg, batch, scratch);
+    scratch.boundary.resize(n * W, 0);
+    for (p, row) in seg.rows.iter().enumerate() {
+        let acc = if row.identity {
+            batch.wide::<W>(Wire::new(seg.wires[p]))
+        } else {
+            eval_row::<W>(row.mask, row.konst, &scratch.inp)
+        };
+        scratch.boundary[p * W..(p + 1) * W].copy_from_slice(&acc);
+    }
+    for site in sites {
+        let i = site.op_index as usize;
+        let arity = site.arity as usize;
+        for (w, rng) in rngs.iter_mut().enumerate() {
+            let mask = masks[i * W + w];
+            if mask == 0 {
                 continue;
             }
-            let acc = eval_row::<W>(row.mask, row.konst, &scratch.inp);
-            batch.set_wide(Wire::new(seg.wires[p]), acc);
+            let mut d = [0u64; 4];
+            out.fault_events += fill_fault_planes(arity, mask, rng, &mut d);
+            // Gather all would-be ideal values before scattering any
+            // delta: within one site they are all defined pre-fault.
+            for (k, dk) in d.iter_mut().enumerate().take(arity) {
+                let g = &site.gathers[k];
+                let mut val = if g.konst { u64::MAX } else { 0u64 };
+                let mut gm = g.mask;
+                while gm != 0 {
+                    let p = gm.trailing_zeros() as usize;
+                    gm &= gm - 1;
+                    val ^= scratch.boundary[p * W + w];
+                }
+                *dk ^= val & mask;
+            }
+            for (k, &dk) in d.iter().enumerate().take(arity) {
+                let mut sm = site.scatters[k];
+                while sm != 0 {
+                    let p = sm.trailing_zeros() as usize;
+                    sm &= sm - 1;
+                    scratch.boundary[p * W + w] ^= dk;
+                }
+            }
+            out.faulted[w] |= mask;
         }
-        return;
     }
-    match &seg.mode {
-        FaultMode::Patch => {
-            // Materialize the projected boundary for every wire, patch it
-            // per event, then store it back. Identity rows read their
-            // (still unwritten) planes directly.
-            out.fused_segments += 1;
-            snapshot::<W>(seg, batch, scratch);
-            scratch.boundary.resize(n * W, 0);
-            for (p, row) in seg.rows.iter().enumerate() {
-                let acc = if row.identity {
-                    batch.wide::<W>(Wire::new(seg.wires[p]))
-                } else {
-                    eval_row::<W>(row.mask, row.konst, &scratch.inp)
-                };
-                scratch.boundary[p * W..(p + 1) * W].copy_from_slice(&acc);
-            }
-            for e in &scratch.events {
-                let site = &seg.sites[e.site as usize];
-                let w = e.word as usize;
-                let arity = site.arity as usize;
-                let mut d = [0u64; 4];
-                // Gather all would-be ideal values before scattering any
-                // delta: within one site they are all defined pre-fault.
-                for (k, dk) in d.iter_mut().enumerate().take(arity) {
-                    let g = &site.gathers[k];
-                    let mut val = if g.konst { u64::MAX } else { 0u64 };
-                    let mut gm = g.mask;
-                    while gm != 0 {
-                        let p = gm.trailing_zeros() as usize;
-                        gm &= gm - 1;
-                        val ^= scratch.boundary[p * W + w];
-                    }
-                    *dk = (e.planes[k] ^ val) & e.mask;
-                }
-                for (k, &dk) in d.iter().enumerate().take(arity) {
-                    let mut sm = site.scatters[k];
-                    while sm != 0 {
-                        let p = sm.trailing_zeros() as usize;
-                        sm &= sm - 1;
-                        scratch.boundary[p * W + w] ^= dk;
-                    }
-                }
-                out.fault_events += e.mask.count_ones() as u64;
-                out.faulted[w] |= e.mask;
-            }
-            for (p, &wi) in seg.wires.iter().enumerate() {
-                let mut v = [0u64; W];
-                v.copy_from_slice(&scratch.boundary[p * W..(p + 1) * W]);
-                batch.set_wide(Wire::new(wi), v);
-            }
-        }
-        FaultMode::Replay(ops) => {
-            // A faulted word leaves the ideal trajectory the
-            // specialization assumed, so re-execute the whole segment
-            // natively (that *is* the unfused execution, masks and
-            // planes already drawn): one wide ideal kernel per op, then
-            // the per-lane fault blend on its scheduled words. The batch
-            // still holds the pre-segment planes — the fast path never
-            // ran — so no snapshot or restore is needed.
-            out.replayed_segments += 1;
-            scratch.replay.clear();
-            scratch
-                .replay
-                .resize(seg.sites.len() * W, (0u64, [0u64; 4]));
-            for e in &scratch.events {
-                scratch.replay[e.site as usize * W + e.word as usize] = (e.mask, e.planes);
-            }
-            for (si, op) in ops.iter().enumerate() {
-                kernels::apply_wide::<W>(batch, op);
-                for w in 0..W {
-                    let (mask, planes) = scratch.replay[si * W + w];
-                    if mask != 0 {
-                        kernels::blend_faulted(batch, op, w, mask, &planes);
-                        out.fault_events += mask.count_ones() as u64;
-                        out.faulted[w] |= mask;
-                    }
-                }
-            }
-        }
+    for (p, &wi) in seg.wires.iter().enumerate() {
+        let mut v = [0u64; W];
+        v.copy_from_slice(&scratch.boundary[p * W..(p + 1) * W]);
+        batch.set_wide(Wire::new(wi), v);
     }
 }
 
@@ -1123,4 +1090,17 @@ fn eval_row<const W: usize>(mask: u64, konst: bool, inp: &[u64]) -> [u64; W] {
         }
     }
     acc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::MicroOp;
+
+    #[test]
+    fn micro_op_does_not_grow() {
+        // Engines stay resident in the compile cache, so the IR's size is
+        // memory: native ops carry their decoded support within 24 bytes
+        // (the undecoded op with its fault site took 28).
+        assert_eq!(std::mem::size_of::<MicroOp>(), 24);
+    }
 }

@@ -165,6 +165,70 @@ proptest! {
         prop_assert_eq!(rng_raw.random::<u64>(), rngs[0].random::<u64>());
     }
 
+    /// A `W = 4` masked run whose words carry schedules of different
+    /// density — clean, sparse (one lane), dense (several lanes) or every
+    /// lane — so one op is faulted in some words and clean in others.
+    /// It must equal four `W = 1` raw masked runs lane for lane and
+    /// consume the same RNG stream per word.
+    #[test]
+    fn wide_masked_run_with_mixed_density_equals_four_raw_runs(
+        c in arb_circuit(40),
+        seed in 0u64..1_000_000,
+        density in (0u8..4, 0u8..4, 0u8..4, 0u8..4),
+    ) {
+        let engine = Engine::compile(&c, &UniformNoise::new(1e-3));
+        let n_ops = c.len();
+        let densities = [density.0, density.1, density.2, density.3];
+        let mut seeder = SmallRng::seed_from_u64(seed ^ 0x3333);
+        let schedules: Vec<Vec<u64>> = densities
+            .iter()
+            .map(|&d| {
+                (0..n_ops)
+                    .map(|_| match d {
+                        0 => 0,
+                        1 if seeder.random::<u8>() < 64 => 1u64 << (seeder.random::<u32>() % 64),
+                        1 => 0,
+                        2 => seeder.random::<u64>() & seeder.random::<u64>(),
+                        _ => u64::MAX,
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut flat = vec![0u64; n_ops * 4];
+        for (word, masks) in schedules.iter().enumerate() {
+            for (i, &m) in masks.iter().enumerate() {
+                flat[i * 4 + word] = m;
+            }
+        }
+        let rng_seed = |word: usize| seed ^ (word as u64 + 1) << 40;
+        let mut wide = BatchState::zeros(N_WIRES, 4);
+        for word in 0..4 {
+            let mut fill = SmallRng::seed_from_u64(seed ^ 0x44 ^ word as u64);
+            fill_random(&mut wide, word, &mut fill);
+        }
+        let mut rngs4: [SmallRng; 4] = std::array::from_fn(|k| SmallRng::seed_from_u64(rng_seed(k)));
+        let rep_wide = engine.run_batch_masked(&mut wide, &flat, &mut rngs4[..]);
+        let mut events = 0;
+        for (word, masks) in schedules.iter().enumerate() {
+            let mut narrow = BatchState::zeros(N_WIRES, 1);
+            let mut fill = SmallRng::seed_from_u64(seed ^ 0x44 ^ word as u64);
+            fill_random(&mut narrow, 0, &mut fill);
+            let mut rng = SmallRng::seed_from_u64(rng_seed(word));
+            let rep = engine.run_batch_masked_raw(&mut narrow, masks, &mut rng);
+            events += rep.fault_events;
+            prop_assert_eq!(rep.faulted_lanes[0], rep_wide.faulted_lanes[word]);
+            for i in 0..N_WIRES {
+                prop_assert_eq!(
+                    narrow.word(w(i as u32), 0),
+                    wide.word(w(i as u32), word),
+                    "wire {} word {} densities {:?}", i, word, densities
+                );
+            }
+            prop_assert_eq!(rng.random::<u64>(), rngs4[word].random::<u64>());
+        }
+        prop_assert_eq!(events, rep_wide.fault_events);
+    }
+
     /// Wide words change nothing: a `W = 4` sampled run equals four
     /// `W = 1` runs of the same per-word seeds, lane for lane.
     #[test]
